@@ -61,6 +61,9 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+MAX_FREQ_REDRAWS = 10_000  # per signal; the default band needs about 1.1 draws
+
+
 def gen_chirps(
     N: int,
     d: int = 280,
@@ -73,22 +76,31 @@ def gen_chirps(
     """Time-localized analytic chirps under rotated Bartlett-Hanning envelopes.
 
     The d samples are read as one second at d Hz; base frequencies are
-    normal around freq_mean, redrawn until they land in freq_band, and the
-    sweep rate is uniform in rate_range (Hz per second).
+    normal around freq_mean, redrawn until they land in freq_band (ValueError
+    after MAX_FREQ_REDRAWS redraws), and the sweep rate is uniform in
+    rate_range (Hz per second).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     lo, hi = rate_range
     if hi < lo:
         raise ValueError(f"invalid rate_range {rate_range}")
+    if freq_band[1] < freq_band[0]:
+        raise ValueError(f"invalid freq_band {freq_band}")
     rng = _rng(seed)
     t = np.arange(d) / d
     env = barthann(d, sym=False)
     signals = []
     for _ in range(N):
-        f0 = rng.normal(freq_mean, freq_std)
-        while not freq_band[0] <= f0 <= freq_band[1]:
+        for _ in range(MAX_FREQ_REDRAWS + 1):
             f0 = rng.normal(freq_mean, freq_std)
+            if freq_band[0] <= f0 <= freq_band[1]:
+                break
+        else:
+            raise ValueError(
+                f"no base frequency in freq_band {freq_band} after "
+                f"{MAX_FREQ_REDRAWS} redraws from N({freq_mean}, {freq_std}^2)"
+            )
         rate = rng.uniform(lo, hi)
         shift = rng.integers(0, d)
         chirp = np.exp(2j * np.pi * (f0 * t + 0.5 * rate * t**2))

@@ -39,8 +39,9 @@ def read_signals_binary(path) -> DataSet:
     expect = 12 + N * d * 16
     if len(raw) != expect:
         raise ValueError(f"{path}: truncated, expected {expect} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw[12:], dtype="<f8").reshape(N, 2 * d)
-    X = flat[:, 0::2] + 1j * flat[:, 1::2]
+    # a view, not re + 1j*im, which would turn a -0.0 real part into +0.0
+    flat = np.frombuffer(raw[12:], dtype="<f8").astype(np.float64)
+    X = flat.view(np.complex128).reshape(N, d)
     return DataSet(tuple(X), label=f"file({Path(path).name})")
 
 
@@ -71,7 +72,7 @@ def read_signals_csv(path) -> DataSet:
         vals = np.array([float(tok) for tok in ln.split(",")])
         if len(vals) != 2 * d:
             raise ValueError(f"{path}: row has {len(vals)} columns, expected {2 * d}")
-        signals.append(vals[0::2] + 1j * vals[1::2])
+        signals.append(vals.view(np.complex128))
     return DataSet(tuple(signals), label=f"file({Path(path).name})")
 
 

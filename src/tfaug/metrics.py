@@ -14,16 +14,15 @@ import numpy as np
 from .augmentation import Domain, finite_rank_approx, mixed_state_localization
 from .operators import (
     HermitianOperator,
-    spectral_decompose,
     total_correlation,
 )
 from .tf_core import PhaseGrid, grid_convolve, grid_integrate
 
 
 def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
+    """Eigenvalues, descending; eigenvectors are not computed."""
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
-    dec = spectral_decompose(A, clamp_tolerance)
-    w = dec.eigenvalues
+    w = np.linalg.eigvalsh(A.matrix)[::-1]
     scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
     if w.size and w[-1] < -clamp_tolerance * scale:
         raise ValueError(f"operator is not positive: min eigenvalue {w[-1]:.3e}")

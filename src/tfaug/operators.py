@@ -6,9 +6,8 @@ Operators are dense d x d complex matrices.  The two convolutions are
     F (x) S  -> operator:  (1/d) sum_z F(z) pi(z) S pi(z)^*
     S (x) T  -> function:  z -> tr(S pi(z) PTP pi(z)^*)
 
-with P the parity f(x) -> f(-x mod d).  Both are evaluated with FFT-based
-O(d^2 log d) / O(d^3) routines; the direct summation definitions are kept
-as oracles in the test suite.
+with P the parity f(x) -> f(-x mod d).  Both are FFTs along the generalized
+diagonals of their operators, O(d^2 log d); the direct sums are test oracles.
 """
 
 from dataclasses import dataclass, field
@@ -128,15 +127,21 @@ def operator_parity(S) -> np.ndarray:
     return np.roll(np.flip(M, axis=(0, 1)), 1, axis=(0, 1))
 
 
+def _diagonal_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the generalized diagonals: M[idx][u, x] = M[x, x - u mod d]."""
+    x = np.arange(d)
+    return np.broadcast_to(x, (d, d)), (x[None, :] - x[:, None]) % d
+
+
 def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
     """Convolution of a real grid function with an operator.
 
     F (x) S = (1/d) sum_{m,n} F(m,n) alpha_{(m,n)}(S).  Positive for F >= 0
     and S positive; tr(F (x) S) = grid_integrate(F) tr(S).
 
-    Grouping the frequency sum per time lag m gives
-    (F (x) S)[x, y] = (1/d) sum_m W_m(x - y) S[x - m, y - m] with W_m the
-    inverse DFT of row m of F, an O(d^3) evaluation.
+    Diagonal u of the result is (1/d) sum_m W[m, u] S[x - m, x - m - u], a
+    cyclic convolution over x: one FFT per diagonal (Werner's product of
+    spreading functions), O(d^2 log d) in all, with W defined below.
     """
     F = np.asarray(F)
     M = _as_matrix(S)
@@ -145,12 +150,11 @@ def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
         raise ValueError(f"grid shape {F.shape} does not match operator size {d}")
     if not np.isrealobj(F):
         raise ValueError("grid function must be real")
-    W = np.fft.ifft(F, axis=1) * d  # W[m, t] = sum_n F[m, n] exp(2 pi i n t / d)
-    diff = (np.arange(d)[:, None] - np.arange(d)[None, :]) % d  # (x - y) mod d
-    out = np.zeros((d, d), dtype=complex)
-    for m in range(d):
-        out += W[m][diff] * np.roll(M, (m, m), axis=(0, 1))
-    out /= d
+    W = np.fft.ifft(F, axis=1) * d  # W[m, u] = sum_n F[m, n] exp(2 pi i n u / d)
+    idx = _diagonal_index(d)
+    spread = np.fft.fft(M[idx], axis=1) * np.fft.fft(W, axis=0).T
+    out = np.empty((d, d), dtype=complex)
+    out[idx] = np.fft.ifft(spread, axis=1) / d
     return HermitianOperator(out)
 
 
@@ -169,12 +173,8 @@ def op_op_convolve(S, T) -> np.ndarray:
     # tr(A alpha_{(m,n)}(B)) = sum_u e^{2 pi i n u / d} C[u, m] with
     # C[u, m] = sum_x A[x, x+u] B[x+u-m, x-m]: a lag-m cross-correlation of
     # the u-th generalized diagonals of A and B.
-    rows = np.arange(d)
-    DA = np.empty((d, d), dtype=complex)  # DA[u, x] = A[x, x+u]
-    DB = np.empty((d, d), dtype=complex)  # DB[u, t] = B[t+u, t]
-    for u in range(d):
-        DA[u] = A[rows, (rows + u) % d]
-        DB[u] = B[(rows + u) % d, rows]
+    idx, neg = _diagonal_index(d), -np.arange(d) % d
+    DA, DB = A[idx][neg], B.T[idx][neg]  # DA[u, x] = A[x, x+u], DB[u, t] = B[t+u, t]
     C = np.fft.ifft(
         np.fft.fft(DA, axis=1) * np.conj(np.fft.fft(np.conj(DB), axis=1)), axis=1
     )

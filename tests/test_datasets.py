@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal.windows import barthann
 
 import tfaug as T
 
@@ -67,6 +68,35 @@ class TestChirps:
             T.gen_chirps(0, 64)
         with pytest.raises(ValueError):
             T.gen_chirps(1, 64, rate_range=(5.0, 1.0))
+
+    def test_inverted_freq_band_rejected(self):
+        with pytest.raises(ValueError, match="freq_band"):
+            T.gen_chirps(1, 64, freq_band=(65.0, 30.0))
+
+    def test_unreachable_freq_band_rejected(self):
+        # 50 standard deviations away: the redraw loop must give up
+        with pytest.raises(ValueError, match="redraws"):
+            T.gen_chirps(1, 64, freq_band=(550.0, 560.0))
+
+    def test_redraws_keep_the_random_stream(self):
+        # a narrow band forces many redraws; the output must equal the
+        # unbounded redraw-until-accepted construction draw for draw
+        d, band = 64, (49.0, 51.0)
+        rng = np.random.default_rng(11)
+        t = np.arange(d) / d
+        env = barthann(d, sym=False)
+        expect = []
+        for _ in range(4):
+            f0 = rng.normal(50.0, 10.0)
+            while not band[0] <= f0 <= band[1]:
+                f0 = rng.normal(50.0, 10.0)
+            rate = rng.uniform(0.0, 20.0)
+            shift = rng.integers(0, d)
+            chirp = np.exp(2j * np.pi * (f0 * t + 0.5 * rate * t**2))
+            expect.append(chirp * np.roll(env, shift))
+        expect = T.normalize_dataset(T.DataSet(tuple(expect))).as_matrix()
+        got = T.gen_chirps(4, d, seed=11, freq_band=band).as_matrix()
+        assert np.array_equal(got, expect)
 
 
 class TestHermitePairState:

@@ -58,6 +58,18 @@ class TestSignalFiles:
         with pytest.raises(ValueError):
             read_signals_binary(path)
 
+    def test_negative_zero_round_trip_bytes(self, tmp_path):
+        # real and imaginary parts of -0.0 must keep their sign through
+        # bin -> csv -> bin, so the two binary files match byte for byte
+        parts = np.array([[-0.0, 0.5, 0.5, -0.0, -0.0, -0.0, 0.0, -0.5],
+                          [0.5, 0.0, -0.0, 0.5, 0.0, -0.0, -0.5, 0.0]])
+        ds = T.DataSet(tuple(parts.view(np.complex128)))
+        a_bin, a_csv, b_bin = (str(tmp_path / n) for n in ("a.bin", "a.csv", "b.bin"))
+        write_signals_binary(a_bin, ds)
+        assert main(["convert", "--in", a_bin, "--out", a_csv]) == 0
+        assert main(["convert", "--in", a_csv, "--out", b_bin]) == 0
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
     def test_csv_missing_header_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("1.0,0.0\n")

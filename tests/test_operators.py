@@ -159,6 +159,13 @@ class TestFnOpConvolve:
         F = rng.uniform(size=(d, d))
         assert np.max(np.abs(T.fn_op_convolve(F, S).matrix - fn_op_direct(F, S.matrix))) < 1e-10
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
+    def test_matches_direct_sizes(self, rng, d):
+        # odd and tiny d expose sign errors in the diagonal index arithmetic
+        S = rand_state(rng, 3, d)
+        F = rng.standard_normal((d, d))
+        assert np.max(np.abs(T.fn_op_convolve(F, S).matrix - fn_op_direct(F, S.matrix))) < 1e-10
+
     def test_young_trace_norm_bound(self, rng):
         d = 8
         S = rand_state(rng, 3, d)
@@ -192,6 +199,15 @@ class TestOpOpConvolve:
         S, Q = rand_state(rng, 3, d), rand_state(rng, 2, d)
         conv = T.op_op_convolve(S, Q)
         assert np.max(np.abs(conv - op_op_direct(S.matrix, Q.matrix).real)) < 1e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 16])
+    def test_matches_direct_sizes(self, rng, d):
+        # S (x) (F (x) Q) with a signed real F: an operator that is not a
+        # data operator, at sizes where a diagonal-index sign error shows
+        S, Q = rand_state(rng, 3, d), rand_state(rng, 2, d)
+        R = T.fn_op_convolve(rng.standard_normal((d, d)), Q).matrix
+        conv = T.op_op_convolve(S, R)
+        assert np.max(np.abs(conv - op_op_direct(S.matrix, R).real)) < 1e-10
 
     def test_commutative(self, rng):
         d = 8

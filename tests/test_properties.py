@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 import tfaug as T
 
+from test_operators import fn_op_direct
+
 
 def _signal(seed, d):
     rng = np.random.default_rng(seed)
@@ -55,3 +57,14 @@ def test_data_operator_trace_one(seed, d):
         T.DataSet(tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(3)))
     )
     assert abs(T.data_operator(ds).trace - 1.0) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, d=st.integers(min_value=2, max_value=12))
+def test_fn_op_convolve_matches_direct_sum(seed, d):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+    X /= np.linalg.norm(X)
+    S = X.T @ X.conj()
+    F = rng.standard_normal((d, d))
+    assert np.max(np.abs(T.fn_op_convolve(F, S).matrix - fn_op_direct(F, S))) < 1e-10
