@@ -36,5 +36,6 @@ print(f"effective dimension {ed_plain:.2f} -> {ed_aug:.2f} after augmentation")
 # the localization operator is nearly a projection of rank ceil(|Omega|)
 T_omega, A_omega, err = T.finite_rank_approx(omega, S)
 print(f"rank-{A_omega} projection surrogate, trace-norm error {err:.4f}")
-_, _, ok = T.finite_rank_error_check(S, omega)
-print(f"error bound from the concentration theorem holds: {ok}")
+bound = next(r for r in T.check_bounds(S, omega) if r.name == "finite_rank")
+print(f"error bound from the concentration theorem holds: {bound.ok} "
+      f"({bound.lhs:.4f} <= {bound.rhs:.4f})")

@@ -26,15 +26,14 @@ print(f"  purity tr(S^2) = S~(0) = {S_tilde[0, 0]:.4f}")
 for width, height in [(2.45, 2.45), (4.0, 1.49), (1.49, 4.0)]:
     omega = T.make_rect_domain(d, width, height)
     a = T.alc(S_tilde, omega)
-    report = T.berezin_lieb_check(S, omega)
+    lower, upper = T.check_bounds(S, omega)[:2]  # the two halves of the sandwich
     print(f"domain {width} x {height}  (|Omega| = {omega.measure:.3f})")
     print(f"  ALC = {a:.4f}")
     print(
-        f"  ln|Omega|+ALC = {report.lower:.4f}  <=  H_vN = {report.mid:.4f}"
-        f"  <=  H(smoothed) = {report.upper:.4f}   pass={report.pass_}"
+        f"  ln|Omega|+ALC = {lower.lhs:.4f}  <=  H_vN = {lower.rhs:.4f}"
+        f"  <=  H(smoothed) = {upper.rhs:.4f}   pass={lower.ok and upper.ok}"
     )
 
 # the lower bound is attained on the full torus
-omega = T.full_domain(d)
-report = T.berezin_lieb_check(S, omega)
-print(f"full torus: lower = {report.lower:.4f} = mid = {report.mid:.4f} = ln d = {math.log(d):.4f}")
+lower = T.check_bounds(S, T.full_domain(d))[0]
+print(f"full torus: lower = {lower.lhs:.4f} = mid = {lower.rhs:.4f} = ln d = {math.log(d):.4f}")

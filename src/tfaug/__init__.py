@@ -29,17 +29,13 @@ from .datasets import (
     normalize_dataset,
 )
 from .metrics import (
-    BoundsReport,
+    CheckResult,
     alc,
     asymptotic_alc_scan,
-    berezin_lieb_check,
+    check_bounds,
     differential_entropy,
     effective_dimension,
     entropy_covariance_check,
-    finite_rank_error_check,
-    general_berezin_lieb_check,
-    lemma_alc_lower_bound,
-    perimeter_bound_check,
     projection_functional_spectral,
     von_neumann_entropy,
 )

@@ -24,14 +24,7 @@ from .datasets import (
     gen_local_components,
     gen_random_tf_weighted,
 )
-from .metrics import (
-    alc,
-    berezin_lieb_check,
-    finite_rank_error_check,
-    general_berezin_lieb_check,
-    lemma_alc_lower_bound,
-    perimeter_bound_check,
-)
+from .metrics import alc, check_bounds
 from .operators import (
     HermitianOperator,
     cohen_class,
@@ -181,10 +174,6 @@ def run_hermite_interp(config: ExperimentConfig):
     return table, report, {"hermite_interp": fig}
 
 
-def _matrix_rank(X: np.ndarray) -> int:
-    return int(np.linalg.matrix_rank(X))
-
-
 def run_chirp_ed(config: ExperimentConfig):
     d = config.d if config.d != 128 else 280
     side_cells = config.params.get("side_cells", 80)
@@ -202,7 +191,8 @@ def run_chirp_ed(config: ExperimentConfig):
         S = data_operator(ds)
         H = von_neumann_entropy(S)
         H_aug = _norm_entropy(S, dom)
-        return (N, s_i, _matrix_rank(ds.as_matrix()), H, math.exp(H), H_aug, math.exp(H_aug))
+        rank = int(np.linalg.matrix_rank(ds.as_matrix()))
+        return (N, s_i, rank, H, math.exp(H), H_aug, math.exp(H_aug))
 
     for row in _map_trials(one, len(Ns) * n_seeds, config.threads):
         table.add(*row)
@@ -437,38 +427,23 @@ def _random_instance(d, rng):
 def run_bounds_suite(config: ExperimentConfig):
     d = config.d if config.d != 128 else 32
     n_trials = config.trials if config.trials != 100 else 50
-    table = ResultTable(
-        [
-            "trial", "measure", "lower", "mid", "upper", "sandwich_pass",
-            "lemma_pass", "rank_pass", "general_bl_pass", "perimeter_verdict",
-            "pass",
-        ],
-        _meta(config),
-    )
 
     def one(trial):
         rng = np.random.default_rng(config.seed + trial)
         S, dom = _random_instance(d, rng)
-        rep = berezin_lieb_check(S, dom)
-        _, _, lemma_ok = lemma_alc_lower_bound(S, dom)
-        _, _, rank_ok = finite_rank_error_check(S, dom)
-        _, _, perim = perimeter_bound_check(S, dom)
-        gbl_ok = general_berezin_lieb_check(S, dom)["pass"]
-        ok = (
-            rep.pass_
-            and rep.entropy_correlation_ok
-            and lemma_ok
-            and rank_ok
-            and gbl_ok
-            and perim in ("pass", "vacuous")
-        )
-        return (
-            trial, dom.measure, rep.lower, rep.mid, rep.upper,
-            rep.pass_, lemma_ok, rank_ok, gbl_ok, perim, ok,
-        )
+        return dom.measure, {c.name: c for c in check_bounds(S, dom)}
 
-    for row in _map_trials(one, n_trials, config.threads):
-        table.add(*row)
+    trials = _map_trials(one, n_trials, config.threads)
+    names = list(trials[0][1]) if trials else []  # one verdict column per check
+    table = ResultTable(
+        ["trial", "measure", "lower", "mid", "upper", *names, "pass"], _meta(config)
+    )
+    for trial, (measure, checks) in enumerate(trials):
+        low, up = checks["sandwich_lower"], checks["sandwich_upper"]
+        table.add(
+            trial, measure, low.lhs, low.rhs, up.rhs,
+            *(c.verdict for c in checks.values()), all(c.ok for c in checks.values()),
+        )
     all_ok = all(r[-1] for r in table.rows)
     report = {"n_trials": n_trials, "all_pass": all_ok}
     return table, report, {}

@@ -1,5 +1,12 @@
-"""Entropy and concentration functionals, and the main inequalities as
-executable checkers.
+"""Entropy and concentration functionals, and the paper's inequalities as
+checks.
+
+`check_bounds(S, Omega)` makes one analysis pass over a (data operator,
+domain) pair: it computes the total correlation S-tilde, the ALC, the
+localization chi_Omega (x) S and that operator's eigenvalues once, and
+derives every inequality from them.  Each inequality comes back as a
+`CheckResult` recording `lhs <= rhs` with its tolerance and verdict;
+`entropy_covariance_check` returns the same type.
 
 Natural logarithms throughout.  Structural identities are checked at
 1e-8..1e-10, entropy comparisons at 1e-7 absolute, discretization-sensitive
@@ -7,13 +14,15 @@ bounds at 1e-3 relative.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augmentation import Domain, finite_rank_approx, mixed_state_localization
+from .augmentation import Domain
 from .operators import (
     HermitianOperator,
+    fn_op_convolve,
+    op_op_convolve,
     total_correlation,
 )
 from .tf_core import PhaseGrid, grid_convolve, grid_integrate
@@ -29,14 +38,18 @@ def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def von_neumann_entropy(A) -> float:
-    """H_vN(A) = -sum_k lambda_k ln lambda_k for a trace-one positive A."""
-    w = _positive_eigenvalues(A)
+def _spectral_entropy(w: np.ndarray) -> float:
+    """-sum_k w_k ln w_k for the non-negative eigenvalues of a trace-one operator."""
     tr = float(w.sum())
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"operator trace is {tr:.6g}, expected 1")
     nz = w[w > 0]
     return max(float(-np.sum(nz * np.log(nz))), 0.0)
+
+
+def von_neumann_entropy(A) -> float:
+    """H_vN(A) = -sum_k lambda_k ln lambda_k for a trace-one positive A."""
+    return _spectral_entropy(_positive_eigenvalues(A))
 
 
 def effective_dimension(A) -> tuple[float, float]:
@@ -45,14 +58,20 @@ def effective_dimension(A) -> tuple[float, float]:
     return H, math.exp(H)
 
 
-def differential_entropy(F: np.ndarray) -> float:
-    """-integral F ln F for a non-negative grid density of unit mass."""
+def _check_density(F) -> np.ndarray:
+    """F as a float grid, rejected unless non-negative with unit mass."""
     F = np.asarray(F, dtype=float)
     if F.min() < -1e-12:
         raise ValueError(f"density has negative values down to {F.min():.3e}")
     mass = grid_integrate(F)
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"density mass is {mass:.6g}, expected 1")
+    return F
+
+
+def differential_entropy(F: np.ndarray) -> float:
+    """-integral F ln F for a non-negative grid density of unit mass."""
+    F = _check_density(F)
     Fc = np.clip(F, 0.0, None)
     nz = Fc[Fc > 0]
     return float(-np.sum(nz * np.log(nz)) / F.shape[0])
@@ -78,7 +97,9 @@ def alc(S_tilde: np.ndarray, domain: Domain) -> float:
 
     ALC = (1/|Omega|) int_Omega (1 - int_{Omega - z} S-tilde) dz, evaluated
     through the equivalent cross-correlation form
-    1 - (1/(|Omega| d^2)) sum_{z,w in Omega} S-tilde(w - z).
+    1 - (1/(|Omega| d^2)) sum_{z,w in Omega} S-tilde(w - z).  The density
+    must be non-negative with unit mass; the value is clamped to [0, 1]
+    only within 1e-9 and rejected beyond.
     """
     if domain.n_cells == 0:
         raise ValueError("domain is empty")
@@ -86,117 +107,108 @@ def alc(S_tilde: np.ndarray, domain: Domain) -> float:
     d = domain.d
     if S_tilde.shape != (d, d):
         raise ValueError(f"grid shape {S_tilde.shape} does not match domain {d}")
+    S_tilde = _check_density(S_tilde)
     C = _domain_autocorrelation(domain)
     inner = float(np.sum(C * S_tilde))
     val = 1.0 - inner / (domain.measure * d * d)
-    return float(min(max(val, 0.0), 1.0 + 1e-9))
+    if not -1e-9 <= val <= 1.0 + 1e-9:
+        raise ValueError(f"ALC {val:.12g} is outside [0, 1]")
+    return min(max(val, 0.0), 1.0)
+
+
+VERDICTS = ("pass", "fail", "vacuous", "inconclusive")
 
 
 @dataclass(frozen=True)
-class BoundsReport:
-    """Entropy sandwich ln|Omega| + ALC <= H_vN <= H(upper), with slacks."""
+class CheckResult:
+    """One inequality lhs <= rhs, checked up to the absolute tolerance tol.
 
-    lower: float
-    mid: float
-    upper: float
-    slack_lower: float
-    slack_upper: float
-    pass_: bool
-    tolerance: float
-    entropy_correlation_ok: bool
+    verdict is 'pass' or 'fail'; 'vacuous' when the inequality holds but
+    bounds nothing (the rhs exceeds every possible lhs); 'inconclusive'
+    when the rhs cannot be evaluated (it is then NaN).
+    """
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "mid": self.mid,
-            "upper": self.upper,
-            "slack_lower": self.slack_lower,
-            "slack_upper": self.slack_upper,
-            "pass": self.pass_,
-            "tolerance": self.tolerance,
-            "entropy_correlation_ok": self.entropy_correlation_ok,
-        }
+    name: str
+    lhs: float
+    rhs: float
+    tol: float
+    verdict: str
+
+    def __post_init__(self):
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+    @property
+    def ok(self) -> bool:
+        return self.verdict != "fail"
 
 
-def berezin_lieb_check(S, domain: Domain, rank_cut: float = 1e-10) -> BoundsReport:
-    """Check the entropy sandwich for one (S, Omega) pair.
+def _check(name: str, lhs, rhs, tol: float) -> CheckResult:
+    lhs, rhs, tol = float(lhs), float(rhs), float(tol)
+    return CheckResult(name, lhs, rhs, tol, "pass" if rhs - lhs >= -tol else "fail")
 
-    lower = ln|Omega| + ALC(S-tilde, Omega); mid = H_vN of the normalized
-    augmentation; upper = differential entropy of (chi/|Omega|) convolved
-    with S-tilde.  Also verifies H(S-tilde) >= H_vN(S).
+
+def check_bounds(S, domain: Domain) -> list[CheckResult]:
+    """Every inequality for one (S, Omega) pair, from one analysis pass.
+
+    S-tilde, ALC, L = chi_Omega (x) S and L's eigenvalues lambda_k (descending)
+    are computed once.  With A_Omega = ceil(|Omega|), T_Omega the projection
+    onto L's top A_Omega eigenvectors, Phi(x) = x - x^2 and f = L (x) S
+    clipped to [0, 1], the results are, in order:
+
+    sandwich_lower/_upper  ln|Omega| + ALC <= H_vN(L/|Omega|) <= H(chi/|Omega| * S-tilde)
+    entropy_correlation    H_vN(S) <= H(S-tilde)
+    alc_lemma              1 - sum_{k <= A_Omega} lambda_k / |Omega| <= ALC
+    finite_rank            ||L - T_Omega||_1 / |Omega| <= (A_Omega - |Omega|)/|Omega| + 2 ALC
+    general_berezin_lieb_lower/_upper  tr Phi(L) <= int Phi(f) <= tr Phi(f (x) S)
+    perimeter              ALC <= (|boundary|/|Omega|) int S-tilde(z) |z| dz, 'vacuous' above 1
+
+    The entropy checks use the tolerance 1e-7 max(1, |H_vN(L/|Omega|)|), the
+    others 1e-8.
     """
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    S_tilde = total_correlation(S, rank_cut)
-    omega = domain.measure
-    lower = math.log(omega) + alc(S_tilde, domain)
-    loc = mixed_state_localization(domain, S)
-    mid = von_neumann_entropy(HermitianOperator(loc.matrix / omega))
-    smoothed = grid_convolve(domain.indicator() / omega, S_tilde)
+    omega, chi = domain.measure, domain.indicator()
+    S_tilde = total_correlation(S)
+    a = alc(S_tilde, domain)  # also rejects an empty domain
+    loc = fn_op_convolve(chi, S)
+    w = _positive_eigenvalues(loc)
+    A_omega = int(math.ceil(omega - 1e-12))
+
+    mid = _spectral_entropy(w / omega)
+    smoothed = grid_convolve(chi / omega, S_tilde)
     upper = differential_entropy(np.clip(smoothed, 0.0, None))
     tol = 1e-7 * max(1.0, abs(mid))
-    slack_lower = mid - lower
-    slack_upper = upper - mid
-    ok = slack_lower >= -tol and slack_upper >= -tol
-    corr_ok = differential_entropy(S_tilde) >= von_neumann_entropy(S) - tol
-    return BoundsReport(lower, mid, upper, slack_lower, slack_upper, ok, tol, corr_ok)
-
-
-def lemma_alc_lower_bound(S, domain: Domain):
-    """ALC >= 1 - sum_{k <= A_Omega} lambda_k / |Omega|."""
-    S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    lhs = alc(total_correlation(S), domain)
-    loc = mixed_state_localization(domain, S)
-    w = _positive_eigenvalues(loc)
-    A_omega = int(math.ceil(domain.measure - 1e-12))
-    rhs = 1.0 - float(np.sum(w[:A_omega])) / domain.measure
-    return lhs, rhs, lhs >= rhs - 1e-8
-
-
-def finite_rank_error_check(S, domain: Domain):
-    """Trace-norm error of the rank-A_Omega approximant against its bound.
-
-    error / |Omega| <= (A_Omega - |Omega|) / |Omega| + 2 ALC.
-    """
-    S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    _, A_omega, err = finite_rank_approx(domain, S)
-    omega = domain.measure
-    a = alc(total_correlation(S), domain)
-    bound = (A_omega - omega) / omega + 2.0 * a
-    lhs = err / omega
-    return lhs, bound, lhs <= bound + 1e-8
-
-
-def general_berezin_lieb_check(S, domain: Domain):
-    """Concave-function trace inequalities with Phi(x) = x - x^2.
-
-    For A = chi_Omega (x) S (eigenvalues in [0, 1]) and the trace-one S:
-    integral of Phi over the symbol A (x) S-check dominates tr Phi(A); and
-    for a grid function f with values in [0, 1], tr Phi(f (x) S) dominates
-    the integral of Phi over f (checked with f the symbol itself).
-    Returns a dict with both sides of both inequalities and a 'pass' flag.
-    """
-    from .operators import fn_op_convolve, op_op_convolve
-
-    S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    A = mixed_state_localization(domain, S)
+    rank_error = float(np.sum(1.0 - w[:A_omega]) + np.sum(w[A_omega:]))
 
     def phi(x):
         return x - x * x
 
-    symbol = np.clip(np.asarray(op_op_convolve(A.matrix, S.matrix)).real, 0.0, 1.0)
+    symbol = np.clip(op_op_convolve(loc.matrix, S.matrix).real, 0.0, 1.0)
     int_phi_symbol = grid_integrate(phi(symbol))
-    w = np.clip(_positive_eigenvalues(A), 0.0, 1.0)
-    tr_phi_A = float(np.sum(phi(w)))
-    w2 = np.clip(_positive_eigenvalues(fn_op_convolve(symbol, S)), 0.0, 1.0)
-    tr_phi_fS = float(np.sum(phi(w2)))
-    tol = 1e-8
-    ok = int_phi_symbol >= tr_phi_A - tol and tr_phi_fS >= int_phi_symbol - tol
-    return {
-        "int_phi_symbol": float(int_phi_symbol),
-        "tr_phi_A": tr_phi_A,
-        "tr_phi_fS": tr_phi_fS,
-        "pass": ok,
-    }
+    tr_phi_A = float(np.sum(phi(np.clip(w, 0.0, 1.0))))
+    w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S))
+    tr_phi_fS = float(np.sum(phi(np.clip(w_fS, 0.0, 1.0))))
+
+    moment = grid_integrate(S_tilde * _centered_distance_grid(domain.d))
+    perimeter = _check("perimeter", a, domain.perimeter / omega * moment, 1e-8)
+    if perimeter.ok and perimeter.rhs > 1.0:
+        perimeter = replace(perimeter, verdict="vacuous")
+    return [
+        _check("sandwich_lower", math.log(omega) + a, mid, tol),
+        _check("sandwich_upper", mid, upper, tol),
+        _check("entropy_correlation", von_neumann_entropy(S),
+               differential_entropy(S_tilde), tol),
+        _check("alc_lemma", 1.0 - float(np.sum(w[:A_omega])) / omega, a, 1e-8),
+        _check("finite_rank", rank_error / omega,
+               (A_omega - omega) / omega + 2.0 * a, 1e-8),
+        _check("general_berezin_lieb_lower", tr_phi_A, int_phi_symbol, 1e-8),
+        _check("general_berezin_lieb_upper", int_phi_symbol, tr_phi_fS, 1e-8),
+        perimeter,
+    ]
 
 
 def _centered_distance_grid(d: int) -> np.ndarray:
@@ -207,30 +219,12 @@ def _centered_distance_grid(d: int) -> np.ndarray:
     return np.hypot(mm, nn)
 
 
-def perimeter_bound_check(S, domain: Domain):
-    """ALC <= (|boundary| / |Omega|) int S-tilde(z) |z| dz.
-
-    Returns (alc, bound, verdict) with verdict 'pass', 'vacuous' (bound over
-    one, so trivially satisfied) or 'fail'.
-    """
-    S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    S_tilde = total_correlation(S)
-    a = alc(S_tilde, domain)
-    moment = grid_integrate(S_tilde * _centered_distance_grid(domain.d))
-    bound = domain.perimeter / domain.measure * moment
-    if a <= bound + 1e-8:
-        verdict = "vacuous" if bound > 1.0 else "pass"
-    else:
-        verdict = "fail"
-    return a, float(bound), verdict
-
-
-def entropy_covariance_check(S_tilde: np.ndarray):
+def entropy_covariance_check(S_tilde: np.ndarray) -> CheckResult:
     """exp(H(S-tilde)/2) <= sqrt(pi e) * sqrt(second moment - |mean|^2).
 
-    Moments use cyclic coordinates recentered at the density's argmax.
-    Returns (lhs, rhs, verdict) with verdict 'pass', 'fail' or
-    'inconclusive' when the mass is too spread for torus moments.
+    Moments use cyclic coordinates recentered at the density's argmax.  The
+    check passes within 1e-3 relative to the rhs; it is 'inconclusive', with
+    a NaN rhs, when the mass is too spread for torus moments.
     """
     S_tilde = np.asarray(S_tilde, dtype=float)
     d = S_tilde.shape[0]
@@ -254,10 +248,9 @@ def entropy_covariance_check(S_tilde: np.ndarray):
     )
     lhs = math.exp(differential_entropy(np.clip(S_tilde, 0.0, None)) / 2.0)
     if var <= 0 or edge_mass > 0.2:
-        return lhs, float("nan"), "inconclusive"
+        return CheckResult("entropy_covariance", lhs, math.nan, math.nan, "inconclusive")
     rhs = math.sqrt(math.pi * math.e) * math.sqrt(var)
-    verdict = "pass" if lhs <= rhs * (1.0 + 1e-3) else "fail"
-    return lhs, rhs, verdict
+    return _check("entropy_covariance", lhs, rhs, 1e-3 * rhs)
 
 
 def asymptotic_alc_scan(S_tilde: np.ndarray, domain: Domain, scales) -> list[tuple[float, float]]:

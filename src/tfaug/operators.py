@@ -201,13 +201,13 @@ def total_correlation(S, rank_cut: float = 1e-10) -> np.ndarray:
     Non-negative, integrates to tr(S)^2 = 1, and S-tilde(0) = tr(S^2).
     """
     A = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    dec = spectral_decompose(A)
-    w = dec.eigenvalues
-    if w.size and w[-1] < -dec.clamp_tolerance * max(abs(w[0]), 1.0):
-        raise ValueError(f"operator is not positive: min eigenvalue {w[-1]:.3e}")
+    # V diag(w) V^* does not depend on the eigenvector phases, so plain eigh
+    w, V = np.linalg.eigh(A.matrix)  # ascending
+    if w.size and w[0] < -1e-10 * max(abs(w[-1]), 1.0):
+        raise ValueError(f"operator is not positive: min eigenvalue {w[0]:.3e}")
     if rank_cut > 0 and w.size:
-        keep = w >= rank_cut * w[0]
-        V = dec.eigenvectors[:, keep]
+        keep = w >= rank_cut * w[-1]
+        V = V[:, keep]
         M = (V * w[keep][None, :]) @ V.conj().T
     else:
         M = A.matrix

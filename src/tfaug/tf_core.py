@@ -26,24 +26,10 @@ class PhaseGrid:
     def cell_measure(self) -> float:
         return 1.0 / self.d
 
-    @property
-    def cell_side(self) -> float:
-        return 1.0 / np.sqrt(self.d)
-
-    @property
-    def total_measure(self) -> float:
-        # d^2 cells of measure 1/d each
-        return float(self.d)
-
     def signed_indices(self) -> np.ndarray:
         """Indices 0..d-1 remapped to the centered range [-d/2, d/2)."""
         k = np.arange(self.d)
         return np.where(k < self.d - k, k, k - self.d)
-
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centered continuous coordinates of the cells, shape (d, d) each."""
-        c = self.signed_indices() / np.sqrt(self.d)
-        return np.meshgrid(c, c, indexing="ij")
 
 
 def _check_signal(f: np.ndarray, d: int | None = None) -> np.ndarray:

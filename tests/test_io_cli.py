@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tfaug as T
+import tfaug.cli
 from tfaug.cli import main
 from tfaug.io import (
     read_signals_binary,
@@ -124,6 +126,43 @@ class TestCli:
         capsys.readouterr()
         assert main(["bounds", "--in", sig, "--rect", "2.5", "2.5"]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert out["sandwich"]["pass"] is True
+
+    def test_bounds_json_keys(self, tmp_path, capsys):
+        sig = str(tmp_path / "s.bin")
+        main(["gen", "--family", "chirps", "--n", "8", "--d", "64",
+              "--seed", "1", "--out", sig])
+        capsys.readouterr()
+        assert main(["bounds", "--in", sig, "--rect", "2.5", "2.5"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        expected = {
+            "sandwich": {"lower", "mid", "upper", "slack_lower", "slack_upper",
+                         "pass", "tolerance", "entropy_correlation_ok"},
+            "alc_lower_bound": {"lhs", "rhs", "pass"},
+            "finite_rank": {"error", "bound", "pass"},
+            "general_berezin_lieb": {"int_phi_symbol", "tr_phi_A", "tr_phi_fS", "pass"},
+            "perimeter": {"alc", "bound", "verdict"},
+        }
+        for group, keys in expected.items():
+            assert set(out[group]) >= keys, group
+        for check in out["checks"]:
+            assert set(check) == {"name", "lhs", "rhs", "tol", "verdict", "slack"}
+
+    def test_bounds_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        real = tfaug.cli.check_bounds
+
+        def one_failing(S, dom):
+            return [replace(r, verdict="fail") if r.name == "finite_rank" else r
+                    for r in real(S, dom)]
+
+        monkeypatch.setattr(tfaug.cli, "check_bounds", one_failing)
+        sig = str(tmp_path / "s.bin")
+        main(["gen", "--family", "chirps", "--n", "8", "--d", "64",
+              "--seed", "1", "--out", sig])
+        capsys.readouterr()
+        assert main(["bounds", "--in", sig, "--rect", "2.5", "2.5"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["finite_rank"]["pass"] is False
         assert out["sandwich"]["pass"] is True
 
     def test_experiment_runs(self, tmp_path, capsys):

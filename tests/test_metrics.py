@@ -1,9 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import tfaug as T
+import tfaug.metrics
+from tfaug.cli import bounds_report
 
 from conftest import rand_state, rand_unit
 
@@ -132,15 +135,35 @@ class TestAlc:
             a = T.alc(St, T.make_rect_domain(d, w, h))
             assert 0.0 <= a <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize(
+        "factor, full",
+        [(3.0, False), (-1.0, False), (1.0 + 9e-7, True)],
+        ids=["mass_3", "negated", "below_zero"],
+    )
+    def test_rejects_bad_density(self, rng, factor, full):
+        # on the full torus ALC = 1 - mass, so a mass of 1 + 9e-7 (inside the
+        # mass tolerance) gives ALC = -9e-7, beyond the clamp tolerance
+        d = 16
+        St = T.total_correlation(rand_state(rng, 3, d))
+        dom = T.full_domain(d) if full else T.make_rect_domain(d, 2.0, 1.5)
+        with pytest.raises(ValueError):
+            T.alc(factor * St, dom)
+
+
+def checks(S, dom):
+    """The results of check_bounds by name."""
+    return {c.name: c for c in T.check_bounds(S, dom)}
+
 
 class TestBerezinLieb:
     def test_full_torus_lower_bound_attained(self, rng):
         d = 16
         S = rand_state(rng, 3, d)
-        rep = T.berezin_lieb_check(S, T.full_domain(d))
-        assert rep.pass_
-        assert abs(rep.lower - math.log(d)) < 1e-8
-        assert abs(rep.mid - math.log(d)) < 1e-8
+        c = checks(S, T.full_domain(d))
+        low = c["sandwich_lower"]
+        assert low.ok and c["sandwich_upper"].ok
+        assert abs(low.lhs - math.log(d)) < 1e-8
+        assert abs(low.rhs - math.log(d)) < 1e-8
 
     def test_random_instances_pass(self, rng):
         d = 16
@@ -148,51 +171,52 @@ class TestBerezinLieb:
             S = rand_state(rng, int(rng.integers(1, 5)), d)
             w = float(rng.uniform(1.0, 3.0))
             h = float(rng.uniform(1.0, 3.0))
-            rep = T.berezin_lieb_check(S, T.make_rect_domain(d, w, h))
-            assert rep.pass_ and rep.entropy_correlation_ok
+            c = checks(S, T.make_rect_domain(d, w, h))
+            assert c["sandwich_lower"].ok and c["sandwich_upper"].ok
+            assert c["entropy_correlation"].ok
 
     def test_rank_one_strictly_between(self, rng):
         d = 16
         f = rand_unit(rng, d)
         S = T.HermitianOperator(T.tensor_product(f, f))
-        rep = T.berezin_lieb_check(S, T.make_rect_domain(d, 1.5, 1.5))
-        assert rep.lower < rep.mid < rep.upper
+        c = checks(S, T.make_rect_domain(d, 1.5, 1.5))
+        assert c["sandwich_lower"].lhs < c["sandwich_lower"].rhs < c["sandwich_upper"].rhs
 
     def test_monotone_lower_bound(self, rng):
         # mid >= ln|Omega| always (ALC >= 0)
         d = 16
         S = rand_state(rng, 3, d)
         dom = T.make_rect_domain(d, 2.5, 2.0)
-        rep = T.berezin_lieb_check(S, dom)
-        assert rep.mid >= math.log(dom.measure) - 1e-9
+        mid = checks(S, dom)["sandwich_lower"].rhs
+        assert mid >= math.log(dom.measure) - 1e-9
 
     def test_report_serializes(self, rng):
-        rep = T.berezin_lieb_check(rand_state(rng, 2, 8), T.make_rect_domain(8, 1.5, 1.5))
-        dct = rep.to_json_dict()
+        results = T.check_bounds(rand_state(rng, 2, 8), T.make_rect_domain(8, 1.5, 1.5))
+        dct = bounds_report(results)["sandwich"]
         assert set(dct) >= {"lower", "mid", "upper", "pass", "tolerance"}
 
 
 class TestLemmaAndFiniteRank:
     def test_full_torus_equality(self, rng):
         d = 8
-        lhs, rhs, ok = T.lemma_alc_lower_bound(rand_state(rng, 3, d), T.full_domain(d))
-        assert ok and abs(lhs) < 1e-9 and abs(rhs) < 1e-9
+        lemma = checks(rand_state(rng, 3, d), T.full_domain(d))["alc_lemma"]
+        lhs, rhs = lemma.rhs, lemma.lhs  # ALC >= 1 - sum lambda_k / |Omega|
+        assert lemma.ok and abs(lhs) < 1e-9 and abs(rhs) < 1e-9
 
     def test_random_instances(self, rng):
         d = 16
         for _ in range(10):
             S = rand_state(rng, int(rng.integers(1, 4)), d)
             dom = T.make_rect_domain(d, float(rng.uniform(1, 3)), float(rng.uniform(1, 3)))
-            _, _, ok1 = T.lemma_alc_lower_bound(S, dom)
-            _, _, ok2 = T.finite_rank_error_check(S, dom)
-            assert ok1 and ok2
+            c = checks(S, dom)
+            assert c["alc_lemma"].ok and c["finite_rank"].ok
 
     def test_perimeter_never_fails(self, rng):
         d = 16
         for _ in range(10):
             S = rand_state(rng, int(rng.integers(1, 4)), d)
             dom = T.make_rect_domain(d, float(rng.uniform(1, 3)), float(rng.uniform(1, 3)))
-            _, _, verdict = T.perimeter_bound_check(S, dom)
+            verdict = checks(S, dom)["perimeter"].verdict
             assert verdict in ("pass", "vacuous")
 
     def test_general_berezin_lieb(self, rng):
@@ -200,7 +224,8 @@ class TestLemmaAndFiniteRank:
         for _ in range(10):
             S = rand_state(rng, int(rng.integers(1, 4)), d)
             dom = T.make_rect_domain(d, float(rng.uniform(1, 3)), float(rng.uniform(1, 3)))
-            assert T.general_berezin_lieb_check(S, dom)["pass"]
+            c = checks(S, dom)
+            assert c["general_berezin_lieb_lower"].ok and c["general_berezin_lieb_upper"].ok
 
     def test_projection_vs_entropy(self, rng):
         # x - x^2 <= -x ln x eigenvalue-wise: P(A) <= entropy of eigenvalues
@@ -213,27 +238,71 @@ class TestLemmaAndFiniteRank:
         assert np.sum(w * (1 - w)) <= -np.sum(nz * np.log(nz)) + 1e-9
 
 
+class TestCheckBounds:
+    def test_one_analysis_pass(self, rng, monkeypatch):
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("total_correlation", "fn_op_convolve"):
+            monkeypatch.setattr(tfaug.metrics, name, counted(name, getattr(tfaug.metrics, name)))
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, counted("eigensolves", getattr(np.linalg, name)))
+        d = 16
+        T.check_bounds(rand_state(rng, 3, d), T.make_rect_domain(d, 2.0, 1.5))
+        assert calls["total_correlation"] == 1
+        assert calls["fn_op_convolve"] == 2
+        assert calls["eigensolves"] <= 4
+
+    def test_results(self, rng):
+        d = 16
+        results = T.check_bounds(rand_state(rng, 3, d), T.make_rect_domain(d, 2.0, 1.5))
+        assert [r.name for r in results] == [
+            "sandwich_lower", "sandwich_upper", "entropy_correlation", "alc_lemma",
+            "finite_rank", "general_berezin_lieb_lower", "general_berezin_lieb_upper",
+            "perimeter",
+        ]
+        for r in results:
+            assert r.slack == r.rhs - r.lhs
+            assert r.ok == (r.verdict != "fail")
+            assert r.verdict in ("pass", "vacuous")
+
+    def test_fail_verdict(self):
+        r = T.CheckResult("x", 1.0, 0.5, 1e-8, "fail")
+        assert not r.ok and r.slack == -0.5
+        with pytest.raises(ValueError):
+            T.CheckResult("x", 0.0, 1.0, 1e-8, "passed")
+
+    def test_rejects_empty_domain(self, rng):
+        d = 8
+        empty = T.Domain(np.zeros((d, d), dtype=bool))
+        with pytest.raises(ValueError):
+            T.check_bounds(rand_state(rng, 2, d), empty)
+
+
 class TestEntropyCovariance:
     def test_gaussian_pair_passes(self):
         d = 64
         g = T.gaussian_window(d)
         St = T.total_correlation(T.tensor_product(g, g))
-        lhs, rhs, verdict = T.entropy_covariance_check(St)
-        assert verdict == "pass"
-        assert lhs <= rhs * (1 + 1e-3)
+        r = T.entropy_covariance_check(St)
+        assert r.verdict == "pass"
+        assert r.lhs <= r.rhs * (1 + 1e-3)
 
     def test_hermite_pair_passes(self):
         d = 64
         S = T.gen_hermite_pair_state(0.5, T.hermite(d, 0), T.hermite(d, 1))
-        _, _, verdict = T.entropy_covariance_check(T.total_correlation(S))
-        assert verdict == "pass"
+        assert T.entropy_covariance_check(T.total_correlation(S)).verdict == "pass"
 
     def test_chirps_never_fail(self):
         # chirp correlation mass wraps the torus; inconclusive is acceptable
         ds = T.gen_chirps(20, 128, seed=0)
         St = T.total_correlation(T.data_operator(ds))
-        _, _, verdict = T.entropy_covariance_check(St)
-        assert verdict in ("pass", "inconclusive")
+        assert T.entropy_covariance_check(St).verdict in ("pass", "inconclusive")
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
