@@ -133,12 +133,14 @@ def cmd_experiment(args) -> int:
             conf = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as e:
             raise SystemExit(f"error: cannot read config {args.config}: {e}")
+        if not isinstance(conf, dict):
+            raise SystemExit(f"error: config {args.config} is not a JSON object")
     if args.experiment:
         conf["experiment"] = args.experiment
     if "experiment" not in conf:
         raise SystemExit("error: provide --experiment NAME or a config with one")
     # command line overrides the config file
-    for key in ("seed", "d", "out", "threads", "trials", "N"):
+    for key in ("seed", "d", "out", "trials", "N"):
         val = getattr(args, key, None)
         if val is not None:
             conf[key] = val
@@ -146,13 +148,8 @@ def cmd_experiment(args) -> int:
         conf["svg"] = args.svg
     try:
         config = ExperimentConfig.from_dict(conf)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise SystemExit(f"error: bad config: {e}")
-    if config.experiment not in CATALOG:
-        raise SystemExit(
-            f"error: unknown experiment {config.experiment!r}; "
-            f"available: {', '.join(sorted(CATALOG))}"
-        )
     table, report = run_experiment(config)
     print(f"wrote {len(table.rows)} rows to {config.out}/{config.experiment}.csv")
     import numpy as np
@@ -215,15 +212,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_args(p)
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("experiment", help="run a catalog experiment")
+    p = sub.add_parser(
+        "experiment", help="run a catalog experiment",
+        epilog="Unset values take the experiment's defaults; "
+        "a flag it does not read exits 2.",
+    )
     p.add_argument("--experiment", help=", ".join(sorted(CATALOG)))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=int, default=None, help="grid size")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--N", type=int, default=None, help="dataset size")
-    p.add_argument("--threads", type=int, default=None)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--svg", dest="svg", action="store_true", default=None)
     g.add_argument("--no-svg", dest="svg", action="store_false")

@@ -2,15 +2,17 @@
 SVG plots, and a JSON report.
 
 Every run is fully determined by (config, seed): per-trial seeds are derived
-as seed + trial index and results are aggregated in trial order, so reruns
-produce byte-identical CSV output.
+as seed + trial index and trials run in order, so reruns produce
+byte-identical CSV output.  `CATALOG` is the one table of experiments: each
+name maps to its runner and to every parameter the runner reads, with its
+default.
 """
 
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,53 +26,88 @@ from .datasets import (
     gen_local_components,
     gen_random_tf_weighted,
 )
-from .metrics import alc, check_bounds
+from .metrics import _positive_eigenvalues, alc, check_bounds, von_neumann_entropy
 from .operators import (
     HermitianOperator,
     cohen_class,
     data_operator,
-    spectral_decompose,
     tensor_product,
     total_correlation,
 )
 from .tf_core import _hermite_family, gaussian_window
-from .metrics import von_neumann_entropy
 
 # the three domain shapes used across the averaging experiments:
 # square, wide-in-time, narrow-in-time, each of measure about 6
 DOMAIN_SHAPES = {"square": (2.45, 2.45), "wide": (4.0, 1.49), "tall": (1.49, 4.0)}
 DOMAIN_SCALES = (1.0, 1.3, 1.6)
+SIZE_FIELDS = ("d", "N", "trials")  # the config fields an experiment may read
+
+
+def _same_type(value, default) -> bool:
+    """value has default's type; a list's items have the type of default's items."""
+    if isinstance(default, list):
+        return type(value) is list and all(type(v) is type(default[0]) for v in value)
+    return type(value) is type(default)
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything that determines a run; identical config means identical CSV."""
+    """Everything that determines a run; identical config means identical CSV.
+
+    `d`, `N` and `trials` default to None ("unset").  Construction resolves
+    the config against the experiment's `CATALOG` entry: unset fields and
+    missing `params` keys take the experiment's defaults, so the config, its
+    hash and the report record the run that actually happens.  An unknown
+    experiment, a field or key the experiment does not read, or a value whose
+    type differs from the default's (for lists: the items' type) raises
+    ValueError.
+    """
 
     experiment: str
-    d: int = 128
+    d: int | None = None
     seed: int = 0
-    N: int = 50
-    trials: int = 100
+    N: int | None = None
+    trials: int | None = None
     out: str = "results"
     svg: bool = True
-    threads: int = 1
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.experiment not in CATALOG:
+            raise ValueError(
+                f"unknown experiment {self.experiment!r}; "
+                f"available: {', '.join(sorted(CATALOG))}"
+            )
+        defaults = CATALOG[self.experiment][1]
+        given = {k: getattr(self, k) for k in SIZE_FIELDS if getattr(self, k) is not None}
+        params = {k: v for k, v in defaults.items() if k not in SIZE_FIELDS}
+        unused = (set(given) - set(defaults)) | (set(self.params) - set(params))
+        if unused:
+            raise ValueError(f"{self.experiment} does not read {', '.join(sorted(unused))}")
+        params.update(self.params)
+        for key, value in {"seed": self.seed, **given, **params}.items():
+            default = defaults.get(key, 0)
+            if not _same_type(value, default):
+                raise ValueError(f"{key} must have the type of {default!r}, got {value!r}")
+        for key in SIZE_FIELDS:
+            setattr(self, key, given.get(key, defaults.get(key)))
+        self.params = params
 
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""
         data = asdict(self)
-        for key in ("out", "svg", "threads"):
-            data.pop(key, None)
+        for key in ("out", "svg"):
+            data.pop(key)
         blob = json.dumps(data, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in data.items() if k in known}
-        extra = {k: v for k, v in data.items() if k not in known}
-        if extra:
-            kwargs.setdefault("params", {}).update(extra)
+        """Config from a JSON object; keys that are not fields are params."""
+        fields = cls.__dataclass_fields__
+        kwargs = {k: v for k, v in data.items() if k in fields}
+        extra = {k: v for k, v in data.items() if k not in fields}
+        kwargs["params"] = {**data.get("params", {}), **extra}
         return cls(**kwargs)
 
 
@@ -130,14 +167,6 @@ def _norm_entropy(S, domain) -> float:
     return von_neumann_entropy(HermitianOperator(loc.matrix / domain.measure))
 
 
-def _map_trials(fn, n_trials, threads):
-    indices = range(n_trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, indices))
-    return [fn(i) for i in indices]
-
-
 # --- individual experiments ---------------------------------------------
 
 
@@ -175,27 +204,20 @@ def run_hermite_interp(config: ExperimentConfig):
 
 
 def run_chirp_ed(config: ExperimentConfig):
-    d = config.d if config.d != 128 else 280
-    side_cells = config.params.get("side_cells", 80)
-    dom = make_rect_domain(d, side_cells / math.sqrt(d), side_cells / math.sqrt(d))
-    Ns = config.params.get("N_values", [100, 150, 200, 250, 300, 350, 400])
-    n_seeds = config.params.get("n_seeds", 5)
+    d, p = config.d, config.params
+    side = p["side_cells"] / math.sqrt(d)
+    dom = make_rect_domain(d, side, side)
     table = ResultTable(
         ["N", "seed", "rank", "H", "ED", "H_aug", "ED_aug"], _meta(config)
     )
-
-    def one(idx):
-        n_i, s_i = divmod(idx, n_seeds)
-        N = Ns[n_i]
-        ds = gen_chirps(N, d, seed=config.seed + s_i)
-        S = data_operator(ds)
-        H = von_neumann_entropy(S)
-        H_aug = _norm_entropy(S, dom)
-        rank = int(np.linalg.matrix_rank(ds.as_matrix()))
-        return (N, s_i, rank, H, math.exp(H), H_aug, math.exp(H_aug))
-
-    for row in _map_trials(one, len(Ns) * n_seeds, config.threads):
-        table.add(*row)
+    for N in p["N_values"]:
+        for s_i in range(p["n_seeds"]):
+            ds = gen_chirps(N, d, seed=config.seed + s_i)
+            S = data_operator(ds)
+            H = von_neumann_entropy(S)
+            H_aug = _norm_entropy(S, dom)
+            rank = int(np.linalg.matrix_rank(ds.as_matrix()))
+            table.add(N, s_i, rank, H, math.exp(H), H_aug, math.exp(H_aug))
     by_n = {}
     for r in table.rows:
         by_n.setdefault(r[0], []).append(r[3])
@@ -217,53 +239,40 @@ def run_chirp_ed(config: ExperimentConfig):
     return table, report, {"chirp_ed": fig}
 
 
-def _heatmap_table(F: np.ndarray, config, name):
-    table = ResultTable([f"c{j}" for j in range(F.shape[1])], _meta(config))
-    for row in F:
+def _run_totalcorr(gen, config: ExperimentConfig):
+    """Heat map of S-tilde for N signals drawn by gen."""
+    ds = gen(config.N, config.d, seed=config.seed)
+    St = total_correlation(data_operator(ds).matrix)
+    table = ResultTable([f"c{j}" for j in range(config.d)], _meta(config))
+    for row in St:
         table.add(*row)
-    return table, {"grid_max": float(F.max()), "grid_sum": float(F.sum())}, {
-        name: svg.heatmap_svg(F, name)
-    }
+    report = {"grid_max": float(St.max()), "grid_sum": float(St.sum())}
+    return table, report, {config.experiment: svg.heatmap_svg(St, config.experiment)}
 
 
-def run_chirp_totalcorr(config: ExperimentConfig):
-    d = config.d if config.d != 128 else 280
-    ds = gen_chirps(config.params.get("N", 150), d, seed=config.seed)
-    St = total_correlation(data_operator(ds).matrix)
-    return _heatmap_table(St, config, "chirp_totalcorr")
-
-
-def run_tf_weighted(config: ExperimentConfig):
-    ds = gen_random_tf_weighted(config.params.get("N", 500), config.d, seed=config.seed)
-    St = total_correlation(data_operator(ds).matrix)
-    return _heatmap_table(St, config, "tf_weighted")
-
-
-def _run_alc_family(config: ExperimentConfig, make_dataset, d):
+def _run_alc_family(gen, config: ExperimentConfig):
+    """ALC and augmented entropy per domain, over trials of N signals from gen."""
     table = ResultTable(
         ["domain", "scale", "alc_mean", "alc_var", "ed_mean", "ed_var"], _meta(config)
     )
-    shapes = list(DOMAIN_SHAPES.items())
-
-    def one(trial):
-        ds = make_dataset(config.seed + trial)
-        S = data_operator(ds)
+    domains = {
+        (name, scale): make_rect_domain(config.d, w * scale, h * scale)
+        for name, (w, h) in DOMAIN_SHAPES.items()
+        for scale in DOMAIN_SCALES
+    }
+    results = []
+    for trial in range(config.trials):
+        S = data_operator(gen(config.N, config.d, seed=config.seed + trial))
         St = total_correlation(S.matrix)
-        out = {}
-        for name, (w, h) in shapes:
-            for scale in DOMAIN_SCALES:
-                dom = make_rect_domain(d, w * scale, h * scale)
-                out[(name, scale)] = (alc(St, dom), _norm_entropy(S, dom))
-        return out
-
-    results = _map_trials(one, config.trials, config.threads)
+        results.append(
+            {key: (alc(St, dom), _norm_entropy(S, dom)) for key, dom in domains.items()}
+        )
     summary = {}
-    for name, _ in shapes:
-        for scale in DOMAIN_SCALES:
-            a = np.array([r[(name, scale)][0] for r in results])
-            e = np.array([r[(name, scale)][1] for r in results])
-            table.add(name, scale, a.mean(), a.var(), e.mean(), e.var())
-            summary[f"{name}@{scale}"] = {"alc": float(a.mean()), "ed": float(e.mean())}
+    for name, scale in domains:
+        a = np.array([r[(name, scale)][0] for r in results])
+        e = np.array([r[(name, scale)][1] for r in results])
+        table.add(name, scale, a.mean(), a.var(), e.mean(), e.var())
+        summary[f"{name}@{scale}"] = {"alc": float(a.mean()), "ed": float(e.mean())}
     adapted_ok = all(
         summary[f"wide@{s}"]["alc"] < summary[f"{o}@{s}"]["alc"]
         and summary[f"wide@{s}"]["ed"] < summary[f"{o}@{s}"]["ed"]
@@ -273,34 +282,20 @@ def _run_alc_family(config: ExperimentConfig, make_dataset, d):
     ed_grows = all(
         summary[f"{n}@1.3"]["ed"] > summary[f"{n}@1.0"]["ed"]
         and summary[f"{n}@1.6"]["ed"] > summary[f"{n}@1.3"]["ed"]
-        for n, _ in shapes
+        for n in DOMAIN_SHAPES
     )
     report = {"summary": summary, "adapted_domain_wins": adapted_ok, "ed_grows_with_size": ed_grows}
     curves = {
         f"ED {name}": [(s, summary[f"{name}@{s}"]["ed"]) for s in DOMAIN_SCALES]
-        for name, _ in shapes
+        for name in DOMAIN_SHAPES
     }
     fig = svg.polyline_svg(curves, "Augmented entropy vs domain scale", "scale", "entropy")
     return table, report, {config.experiment: fig}
 
 
-def run_gauss_alc(config: ExperimentConfig):
-    d = config.d
-    return _run_alc_family(
-        config, lambda seed: gen_gaussian_combos(config.N, d, seed=seed), d
-    )
-
-
-def run_chirp_alc(config: ExperimentConfig):
-    d = config.d if config.d != 128 else 280
-    return _run_alc_family(
-        config, lambda seed: gen_chirps(config.N, d, seed=seed), d
-    )
-
-
 def run_alc_vs_ed(config: ExperimentConfig):
-    d = config.d if config.d != 128 else 280
-    ds = gen_chirps(config.params.get("N", 150), d, seed=config.seed)
+    d = config.d
+    ds = gen_chirps(config.N, d, seed=config.seed)
     S = data_operator(ds)
     St = total_correlation(S.matrix)
     table = ResultTable(
@@ -326,28 +321,24 @@ def run_local_components(config: ExperimentConfig):
     dom = make_rect_domain(d, side, side)
     g = gaussian_window(d)
     S_classical = HermitianOperator(tensor_product(g, g))
-    noise_levels = config.params.get("noise_levels", [0.0, 0.1, 0.3])
-    n_gauss = config.params.get("n_gauss", 30)
+    noise_levels, n_eigs = config.params["noise_levels"], config.params["n_eigs"]
     ops = {"classical": S_classical}
     for ne in noise_levels:
         ops[f"mixed_{ne}"] = data_operator(
             gen_local_components(
-                n_gauss, d, noise_energy=ne, spread=0.5, seed=config.seed,
-                random_coeffs=ne > 0,
+                config.params["n_gauss"], d, noise_energy=ne, spread=0.5,
+                seed=config.seed, random_coeffs=ne > 0,
             )
         )
-    n_eigs = config.params.get("n_eigs", 40)
     cols = ["k"] + [f"eig_{name}" for name in ops]
     table = ResultTable(cols, _meta(config))
     spectra = {}
     entropies = {}
     for name, S in ops.items():
         loc = mixed_state_localization(dom, S)
-        spectra[name] = spectral_decompose(loc).eigenvalues[:n_eigs]
-        entropies[name] = {
-            "H_S": von_neumann_entropy(S),
-            "H_aug": _norm_entropy(S, dom),
-        }
+        spectra[name] = _positive_eigenvalues(loc)[:n_eigs]
+        H_aug = von_neumann_entropy(HermitianOperator(loc.matrix / dom.measure))
+        entropies[name] = {"H_S": von_neumann_entropy(S), "H_aug": H_aug}
     for k in range(n_eigs):
         table.add(k, *(spectra[name][k] for name in ops))
     delta = abs(entropies["classical"]["H_aug"] - entropies["mixed_0.0"]["H_aug"])
@@ -371,7 +362,7 @@ def run_local_components(config: ExperimentConfig):
 def run_hermite_mix(config: ExperimentConfig):
     d = config.d
     dom = make_rect_domain(d, 3.0, 3.0)  # area 9
-    n_max = config.params.get("n_max", 16)
+    n_max = config.params["n_max"]
     fam = _hermite_family(d, n_max - 1)
     table = ResultTable(["n", "H_single", "H_accumulated"], _meta(config))
     for n in range(1, n_max + 1):
@@ -390,10 +381,10 @@ def run_hermite_mix(config: ExperimentConfig):
 
 
 def run_cohen_demo(config: ExperimentConfig):
-    d = config.d if config.d != 128 else 280
+    d = config.d
     g = gaussian_window(d)
     Q_gauss = cohen_class(tensor_product(g, g), g)
-    ds = gen_chirps(config.params.get("N", 150), d, seed=config.seed)
+    ds = gen_chirps(config.N, d, seed=config.seed)
     Q_chirp = cohen_class(data_operator(ds).matrix, g)
     table = ResultTable([f"c{j}" for j in range(d)], _meta(config))
     for row in Q_gauss:
@@ -425,15 +416,11 @@ def _random_instance(d, rng):
 
 
 def run_bounds_suite(config: ExperimentConfig):
-    d = config.d if config.d != 128 else 32
-    n_trials = config.trials if config.trials != 100 else 50
-
-    def one(trial):
+    trials = []
+    for trial in range(config.trials):
         rng = np.random.default_rng(config.seed + trial)
-        S, dom = _random_instance(d, rng)
-        return dom.measure, {c.name: c for c in check_bounds(S, dom)}
-
-    trials = _map_trials(one, n_trials, config.threads)
+        S, dom = _random_instance(config.d, rng)
+        trials.append((dom.measure, {c.name: c for c in check_bounds(S, dom)}))
     names = list(trials[0][1]) if trials else []  # one verdict column per check
     table = ResultTable(
         ["trial", "measure", "lower", "mid", "upper", *names, "pass"], _meta(config)
@@ -445,35 +432,38 @@ def run_bounds_suite(config: ExperimentConfig):
             *(c.verdict for c in checks.values()), all(c.ok for c in checks.values()),
         )
     all_ok = all(r[-1] for r in table.rows)
-    report = {"n_trials": n_trials, "all_pass": all_ok}
+    report = {"n_trials": config.trials, "all_pass": all_ok}
     return table, report, {}
 
 
+# name -> (runner, every parameter the runner reads with its default)
 CATALOG = {
-    "hermite_interp": run_hermite_interp,
-    "chirp_ed": run_chirp_ed,
-    "chirp_totalcorr": run_chirp_totalcorr,
-    "gauss_alc": run_gauss_alc,
-    "chirp_alc": run_chirp_alc,
-    "alc_vs_ed": run_alc_vs_ed,
-    "local_components": run_local_components,
-    "hermite_mix": run_hermite_mix,
-    "tf_weighted": run_tf_weighted,
-    "cohen_demo": run_cohen_demo,
-    "bounds_suite": run_bounds_suite,
+    "hermite_interp": (run_hermite_interp, {"d": 128}),
+    "chirp_ed": (run_chirp_ed, {
+        "d": 280, "side_cells": 80, "n_seeds": 5,
+        "N_values": [100, 150, 200, 250, 300, 350, 400],
+    }),
+    "chirp_totalcorr": (partial(_run_totalcorr, gen_chirps), {"d": 280, "N": 150}),
+    "gauss_alc": (
+        partial(_run_alc_family, gen_gaussian_combos), {"d": 128, "N": 50, "trials": 100}
+    ),
+    "chirp_alc": (partial(_run_alc_family, gen_chirps), {"d": 280, "N": 50, "trials": 100}),
+    "alc_vs_ed": (run_alc_vs_ed, {"d": 280, "N": 150}),
+    "local_components": (run_local_components, {
+        "d": 128, "noise_levels": [0.0, 0.1, 0.3], "n_gauss": 30, "n_eigs": 40,
+    }),
+    "hermite_mix": (run_hermite_mix, {"d": 128, "n_max": 16}),
+    "tf_weighted": (partial(_run_totalcorr, gen_random_tf_weighted), {"d": 128, "N": 500}),
+    "cohen_demo": (run_cohen_demo, {"d": 280, "N": 150}),
+    "bounds_suite": (run_bounds_suite, {"d": 32, "trials": 50}),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[ResultTable, dict]:
     """Run one catalog experiment, writing CSV, report JSON and optional SVG."""
-    if config.experiment not in CATALOG:
-        raise KeyError(
-            f"unknown experiment {config.experiment!r}; "
-            f"available: {', '.join(sorted(CATALOG))}"
-        )
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table, report, figures = CATALOG[config.experiment](config)
+    table, report, figures = CATALOG[config.experiment][0](config)
     table.write(out_dir / f"{config.experiment}.csv")
     full_report = {"config": asdict(config), "config_hash": config.config_hash(), **report}
     (out_dir / f"{config.experiment}.report.json").write_text(

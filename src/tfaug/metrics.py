@@ -180,7 +180,7 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
 
     mid = _spectral_entropy(w / omega)
     smoothed = grid_convolve(chi / omega, S_tilde)
-    upper = differential_entropy(np.clip(smoothed, 0.0, None))
+    upper = differential_entropy(smoothed)
     tol = 1e-7 * max(1.0, abs(mid))
     rank_error = float(np.sum(1.0 - w[:A_omega]) + np.sum(w[A_omega:]))
 
@@ -246,7 +246,7 @@ def entropy_covariance_check(S_tilde: np.ndarray) -> CheckResult:
     edge_mass = 1.0 - float(
         np.sum(S_tilde[(np.abs(mm) < side / 4) & (np.abs(nn) < side / 4)]) / d
     )
-    lhs = math.exp(differential_entropy(np.clip(S_tilde, 0.0, None)) / 2.0)
+    lhs = math.exp(differential_entropy(S_tilde) / 2.0)
     if var <= 0 or edge_mass > 0.2:
         return CheckResult("entropy_covariance", lhs, math.nan, math.nan, "inconclusive")
     rhs = math.sqrt(math.pi * math.e) * math.sqrt(var)

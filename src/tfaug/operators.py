@@ -190,6 +190,17 @@ def _is_hermitian(M: np.ndarray) -> bool:
     return float(np.max(np.abs(M - M.conj().T))) < 1e-10 * scale
 
 
+def _clamp_nonnegative(out) -> np.ndarray:
+    """Real part of a grid that is non-negative up to roundoff, roundoff set to 0.
+
+    Raises ValueError when a value is below -1e-12 max(1, max |value|).
+    """
+    out = np.asarray(out).real
+    if out.size and out.min() < -1e-12 * max(1.0, float(np.max(np.abs(out)))):
+        raise ValueError(f"grid is not non-negative: min value {out.min():.3e}")
+    return np.maximum(out, 0.0)
+
+
 def total_correlation(S, rank_cut: float = 1e-10) -> np.ndarray:
     """Total correlation function S-tilde = S (x) S-check.
 
@@ -211,8 +222,7 @@ def total_correlation(S, rank_cut: float = 1e-10) -> np.ndarray:
         M = (V * w[keep][None, :]) @ V.conj().T
     else:
         M = A.matrix
-    out = op_op_convolve(M, operator_parity(M))
-    return np.maximum(out.real, 0.0)
+    return _clamp_nonnegative(op_op_convolve(M, operator_parity(M)))
 
 
 def cohen_class(S, f: np.ndarray) -> np.ndarray:
@@ -221,9 +231,7 @@ def cohen_class(S, f: np.ndarray) -> np.ndarray:
     For S = g (x) g this is the spectrogram |V_g f|^2; for a data operator
     it equals sum_i |V_{f_i} f|^2.  Integrates to tr(S) ||f||^2.
     """
-    Sc = operator_parity(S)
-    out = op_op_convolve(Sc, tensor_product(f, f))
-    return np.maximum(np.asarray(out).real, 0.0)
+    return _clamp_nonnegative(op_op_convolve(operator_parity(S), tensor_product(f, f)))
 
 
 def conv_layer_identity(f: np.ndarray, g: np.ndarray, m: np.ndarray):

@@ -7,6 +7,7 @@ import pytest
 import tfaug as T
 import tfaug.cli
 from tfaug.cli import main
+from tfaug.experiments import CATALOG
 from tfaug.io import (
     read_signals_binary,
     read_signals_csv,
@@ -214,13 +215,66 @@ class TestDeterminism:
         b = (tmp_path / "b" / "bounds_suite.csv").read_bytes()
         assert a == b
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        base = str(tmp_path / "t1")
-        multi = str(tmp_path / "t4")
-        for out, threads in ((base, "1"), (multi, "4")):
-            main(["experiment", "--experiment", "gauss_alc", "--d", "100",
-                  "--trials", "6", "--N", "10", "--seed", "2",
-                  "--threads", threads, "--out", out, "--no-svg"])
-        a = (tmp_path / "t1" / "gauss_alc.csv").read_bytes()
-        b = (tmp_path / "t4" / "gauss_alc.csv").read_bytes()
-        assert a == b
+
+def _csv(out_dir, name):
+    """(metadata, header, data rows) of an experiment's CSV."""
+    lines = (out_dir / f"{name}.csv").read_text().splitlines()
+    meta = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+    rows = [ln for ln in lines if not ln.startswith("#")]
+    return meta, rows[0], rows[1:]
+
+
+class TestExperimentConfig:
+    def test_explicit_d_and_N_are_used(self, tmp_path):
+        assert main(["experiment", "--experiment", "chirp_totalcorr", "--d", "128",
+                     "--N", "20", "--out", str(tmp_path), "--no-svg"]) == 0
+        meta, header, rows = _csv(tmp_path, "chirp_totalcorr")
+        assert meta["d"] == "128"
+        assert len(rows) == 128 and len(header.split(",")) == 128
+        report = json.loads((tmp_path / "chirp_totalcorr.report.json").read_text())
+        assert (report["config"]["d"], report["config"]["N"]) == (128, 20)
+
+    def test_explicit_trials_are_used(self, tmp_path):
+        assert main(["experiment", "--experiment", "bounds_suite", "--d", "16",
+                     "--trials", "100", "--out", str(tmp_path), "--no-svg"]) == 0
+        _, _, rows = _csv(tmp_path, "bounds_suite")
+        assert len(rows) == 100
+
+    def test_unknown_config_key_exit_2(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"experiment": "chirp_ed", "n_seed": 2}))
+        assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "chirp_ed.csv").exists()
+
+    def test_unused_flag_exit_2(self, tmp_path):
+        assert main(["experiment", "--experiment", "hermite_mix", "--trials", "7",
+                     "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "hermite_mix.csv").exists()
+
+    def test_wrong_type_exit_2(self, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"experiment": "hermite_mix", "d": "64"}))
+        assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+    def test_undeclared_field_rejected(self):
+        with pytest.raises(ValueError, match="does not read N"):
+            T.ExperimentConfig("hermite_mix", N=999)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_defaults_written_out_hash_equal(self, name):
+        _, defaults = CATALOG[name]
+        explicit = T.ExperimentConfig.from_dict({"experiment": name, **defaults})
+        assert T.ExperimentConfig(name).config_hash() == explicit.config_hash()
+
+    def test_report_config_reproduces_run(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["experiment", "--experiment", "chirp_totalcorr", "--d", "48",
+                     "--N", "6", "--seed", "3", "--out", str(first), "--no-svg"]) == 0
+        report = json.loads((first / "chirp_totalcorr.report.json").read_text())
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(report["config"]))
+        assert main(["experiment", "--config", str(conf), "--out", str(second)]) == 0
+        again = json.loads((second / "chirp_totalcorr.report.json").read_text())
+        assert again["config_hash"] == report["config_hash"]
+        assert ((first / "chirp_totalcorr.csv").read_bytes()
+                == (second / "chirp_totalcorr.csv").read_bytes())

@@ -308,6 +308,17 @@ class TestEntropyCovariance:
         with pytest.raises(ValueError):
             T.entropy_covariance_check(np.ones((8, 8)))
 
+    def test_rejects_negative_density(self):
+        d = 64
+        g = T.gaussian_window(d)
+        St = T.total_correlation(T.tensor_product(g, g))
+        peak = np.unravel_index(np.argmax(St), St.shape)
+        low = np.unravel_index(np.argmin(St), St.shape)
+        St[low] -= 1e-6  # unit mass kept; one value below zero
+        St[peak] += 1e-6
+        with pytest.raises(ValueError):
+            T.entropy_covariance_check(St)
+
 
 class TestAsymptoticAlc:
     def test_full_cover_zero(self, rng):

@@ -291,6 +291,12 @@ class TestCohenClass:
         Q = T.cohen_class(rand_state(rng, 3, 16), rand_unit(rng, 16))
         assert abs(T.grid_integrate(Q) - 1.0) < 1e-9
 
+    def test_negative_state_rejected(self):
+        # the true values are <= 0, so clamping them to 0 would hide the error
+        g = T.gaussian_window(16)
+        with pytest.raises(ValueError):
+            T.cohen_class(T.HermitianOperator(-T.tensor_product(g, g)), g)
+
 
 class TestConvLayerIdentity:
     def test_delta_kernel(self, rng):
