@@ -7,11 +7,12 @@ I/O errors.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .augmentation import augment_dataset, make_rect_domain, mixed_state_localization
+from .augmentation import augment_dataset, make_rect_domain
 from .datasets import (
     gen_chirps,
     gen_gaussian_combos,
@@ -20,8 +21,14 @@ from .datasets import (
 )
 from .experiments import CATALOG, ExperimentConfig, run_experiment
 from .io import domain_from_json, domain_to_json, read_signals, write_signals
-from .metrics import alc, check_bounds, effective_dimension
-from .operators import HermitianOperator, data_operator, total_correlation
+from .metrics import (
+    _alc_and_localization,
+    _augmented_entropy,
+    _spreading_and_correlation,
+    check_bounds,
+    effective_dimension,
+)
+from .operators import data_operator
 
 GENERATORS = {
     "chirps": gen_chirps,
@@ -66,15 +73,13 @@ def cmd_metrics(args) -> int:
     if args.domain or args.rect:
         args.d = ds.d
         dom = _load_domain(args)
-        St = total_correlation(S)
+        eta, _ = _spreading_and_correlation(S)
+        a, loc = _alc_and_localization(S, eta, dom)
+        H_aug = _augmented_entropy(loc, dom.measure)
         out["domain_measure"] = dom.measure
-        out["alc"] = alc(St, dom)
-        loc = mixed_state_localization(dom, S)
-        H_aug, ed_aug = effective_dimension(
-            HermitianOperator(loc.matrix / dom.measure)
-        )
+        out["alc"] = a
         out["H_augmented"] = H_aug
-        out["effective_dimension_augmented"] = ed_aug
+        out["effective_dimension_augmented"] = math.exp(H_aug)
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0
 

@@ -26,7 +26,15 @@ from .datasets import (
     gen_local_components,
     gen_random_tf_weighted,
 )
-from .metrics import _positive_eigenvalues, alc, check_bounds, von_neumann_entropy
+from .metrics import (
+    _alc_and_localization,
+    _augmented_entropy,
+    _positive_eigenvalues,
+    _spectral_entropy,
+    _spreading_and_correlation,
+    check_bounds,
+    von_neumann_entropy,
+)
 from .operators import (
     HermitianOperator,
     cohen_class,
@@ -58,9 +66,9 @@ class ExperimentConfig:
     the config against the experiment's `CATALOG` entry: unset fields and
     missing `params` keys take the experiment's defaults, so the config, its
     hash and the report record the run that actually happens.  An unknown
-    experiment, a field or key the experiment does not read, or a value whose
-    type differs from the default's (for lists: the items' type) raises
-    ValueError.
+    experiment, a field or key the experiment does not read, a value whose
+    type differs from the default's (for lists: the items' type), trials
+    below 1 or noise_levels without 0.0 raises ValueError.
     """
 
     experiment: str
@@ -92,6 +100,11 @@ class ExperimentConfig:
         for key in SIZE_FIELDS:
             setattr(self, key, given.get(key, defaults.get(key)))
         self.params = params
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        if 0.0 not in params.get("noise_levels", [0.0]):
+            # local_components compares the noiseless operator with the classical one
+            raise ValueError(f"noise_levels must include 0.0, got {params['noise_levels']}")
 
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""
@@ -163,8 +176,7 @@ def _meta(config: ExperimentConfig) -> dict:
 
 def _norm_entropy(S, domain) -> float:
     """H_vN of the trace-normalized Omega-augmentation of S."""
-    loc = mixed_state_localization(domain, S)
-    return von_neumann_entropy(HermitianOperator(loc.matrix / domain.measure))
+    return _augmented_entropy(mixed_state_localization(domain, S), domain.measure)
 
 
 # --- individual experiments ---------------------------------------------
@@ -242,7 +254,7 @@ def run_chirp_ed(config: ExperimentConfig):
 def _run_totalcorr(gen, config: ExperimentConfig):
     """Heat map of S-tilde for N signals drawn by gen."""
     ds = gen(config.N, config.d, seed=config.seed)
-    St = total_correlation(data_operator(ds).matrix)
+    St = total_correlation(data_operator(ds))
     table = ResultTable([f"c{j}" for j in range(config.d)], _meta(config))
     for row in St:
         table.add(*row)
@@ -263,10 +275,12 @@ def _run_alc_family(gen, config: ExperimentConfig):
     results = []
     for trial in range(config.trials):
         S = data_operator(gen(config.N, config.d, seed=config.seed + trial))
-        St = total_correlation(S.matrix)
-        results.append(
-            {key: (alc(St, dom), _norm_entropy(S, dom)) for key, dom in domains.items()}
-        )
+        eta, _ = _spreading_and_correlation(S)
+        row = {}
+        for key, dom in domains.items():
+            a, loc = _alc_and_localization(S, eta, dom)
+            row[key] = (a, _augmented_entropy(loc, dom.measure))
+        results.append(row)
     summary = {}
     for name, scale in domains:
         a = np.array([r[(name, scale)][0] for r in results])
@@ -297,15 +311,16 @@ def run_alc_vs_ed(config: ExperimentConfig):
     d = config.d
     ds = gen_chirps(config.N, d, seed=config.seed)
     S = data_operator(ds)
-    St = total_correlation(S.matrix)
+    eta, _ = _spreading_and_correlation(S)
     table = ResultTable(
         ["domain", "scale", "measure", "lower", "H_aug"], _meta(config)
     )
     for name, (w, h) in DOMAIN_SHAPES.items():
         for scale in DOMAIN_SCALES:
             dom = make_rect_domain(d, w * scale, h * scale)
-            lower = math.log(dom.measure) + alc(St, dom)
-            table.add(name, scale, dom.measure, lower, _norm_entropy(S, dom))
+            a, loc = _alc_and_localization(S, eta, dom)
+            lower = math.log(dom.measure) + a
+            table.add(name, scale, dom.measure, lower, _augmented_entropy(loc, dom.measure))
     report = {"lower_below_mid": all(r[3] <= r[4] + 1e-7 for r in table.rows)}
     curves = {
         "ln|O|+ALC": [(i, r[3]) for i, r in enumerate(table.rows)],
@@ -335,9 +350,9 @@ def run_local_components(config: ExperimentConfig):
     spectra = {}
     entropies = {}
     for name, S in ops.items():
-        loc = mixed_state_localization(dom, S)
-        spectra[name] = _positive_eigenvalues(loc)[:n_eigs]
-        H_aug = von_neumann_entropy(HermitianOperator(loc.matrix / dom.measure))
+        w = _positive_eigenvalues(mixed_state_localization(dom, S))
+        spectra[name] = w[:n_eigs]
+        H_aug = _spectral_entropy(w / dom.measure)
         entropies[name] = {"H_S": von_neumann_entropy(S), "H_aug": H_aug}
     for k in range(n_eigs):
         table.add(k, *(spectra[name][k] for name in ops))

@@ -3,7 +3,8 @@
 Binary format: little-endian, magic "QHA1", u32 d, u32 N, then N*d
 complex samples as (f64 real, f64 imag) pairs.  CSV alternative: one
 signal per row with 2d interleaved re,im columns and a header row
-"# d=<d> n=<N>".  Round trips are bit exact.
+"# d=<d> n=<N>".  Round trips are bit exact.  The readers reject a file
+that holds a NaN or an inf.
 """
 
 import json
@@ -17,6 +18,12 @@ from .datasets import DataSet
 from .tf_core import PhaseGrid
 
 MAGIC = b"QHA1"
+
+
+def _check_finite(path, values: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: holds a non-finite sample (NaN or inf)")
+    return values
 
 
 def write_signals_binary(path, dataset: DataSet) -> None:
@@ -40,7 +47,7 @@ def read_signals_binary(path) -> DataSet:
     if len(raw) != expect:
         raise ValueError(f"{path}: truncated, expected {expect} bytes, got {len(raw)}")
     # a view, not re + 1j*im, which would turn a -0.0 real part into +0.0
-    flat = np.frombuffer(raw[12:], dtype="<f8").astype(np.float64)
+    flat = _check_finite(path, np.frombuffer(raw[12:], dtype="<f8").astype(np.float64))
     X = flat.view(np.complex128).reshape(N, d)
     return DataSet(tuple(X), label=f"file({Path(path).name})")
 
@@ -72,7 +79,7 @@ def read_signals_csv(path) -> DataSet:
         vals = np.array([float(tok) for tok in ln.split(",")])
         if len(vals) != 2 * d:
             raise ValueError(f"{path}: row has {len(vals)} columns, expected {2 * d}")
-        signals.append(vals.view(np.complex128))
+        signals.append(_check_finite(path, vals).view(np.complex128))
     return DataSet(tuple(signals), label=f"file({Path(path).name})")
 
 

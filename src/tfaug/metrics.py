@@ -2,11 +2,12 @@
 checks.
 
 `check_bounds(S, Omega)` makes one analysis pass over a (data operator,
-domain) pair: it computes the total correlation S-tilde, the ALC, the
-localization chi_Omega (x) S and that operator's eigenvalues once, and
-derives every inequality from them.  Each inequality comes back as a
-`CheckResult` recording `lhs <= rhs` with its tolerance and verdict;
-`entropy_covariance_check` returns the same type.
+domain) pair: it computes the spreading function eta_S, the total
+correlation S-tilde, the ALC, the localization chi_Omega (x) S and that
+operator's eigenvalues once, and derives every inequality from them; the
+experiments and the CLI share its per-S and per-(S, Omega) steps.  Each
+inequality comes back as a `CheckResult` recording `lhs <= rhs` with its
+tolerance and verdict; `entropy_covariance_check` returns the same type.
 
 Natural logarithms throughout.  Structural identities are checked at
 1e-8..1e-10, entropy comparisons at 1e-7 absolute, discretization-sensitive
@@ -23,6 +24,7 @@ from .operators import (
     HermitianOperator,
     fn_op_convolve,
     op_op_convolve,
+    spreading,
     total_correlation,
 )
 from .tf_core import PhaseGrid, grid_convolve, grid_integrate
@@ -92,6 +94,13 @@ def _domain_autocorrelation(domain: Domain) -> np.ndarray:
     return np.fft.ifft2(np.conj(F) * F).real
 
 
+def _checked_alc(val: float) -> float:
+    """An ALC value clamped to [0, 1], rejected beyond 1e-9 outside it."""
+    if not -1e-9 <= val <= 1.0 + 1e-9:
+        raise ValueError(f"ALC {val:.12g} is outside [0, 1]")
+    return min(max(val, 0.0), 1.0)
+
+
 def alc(S_tilde: np.ndarray, domain: Domain) -> float:
     """Average lack of concentration of a correlation density over a domain.
 
@@ -110,10 +119,33 @@ def alc(S_tilde: np.ndarray, domain: Domain) -> float:
     S_tilde = _check_density(S_tilde)
     C = _domain_autocorrelation(domain)
     inner = float(np.sum(C * S_tilde))
-    val = 1.0 - inner / (domain.measure * d * d)
-    if not -1e-9 <= val <= 1.0 + 1e-9:
-        raise ValueError(f"ALC {val:.12g} is outside [0, 1]")
-    return min(max(val, 0.0), 1.0)
+    return _checked_alc(1.0 - inner / (domain.measure * d * d))
+
+
+def _spreading_and_correlation(S: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(eta_S, S-tilde), with S-tilde checked as a density: the per-S step."""
+    eta = spreading(S)
+    return eta, _check_density(total_correlation(S, eta=eta))
+
+
+def _alc_and_localization(S: HermitianOperator, eta: np.ndarray, domain: Domain):
+    """(ALC, L = chi_Omega (x) S) for one domain, from eta_S = spreading(S).
+
+    L takes one 2-d FFT of chi_Omega (`fn_op_convolve`).  The ALC is then
+    O(d^2): by Parseval, tr(L^2) = ||chi-hat eta_S||^2 / d^3 =
+    (1/d^2) sum_{z,w in Omega} S-tilde(w - z), so ALC = 1 - tr(L^2)/|Omega|,
+    range-checked as in `alc`.
+    """
+    if domain.n_cells == 0:
+        raise ValueError("domain is empty")
+    loc = fn_op_convolve(domain.indicator(), S, eta=eta)
+    tr_sq = float(np.vdot(loc.matrix, loc.matrix).real)
+    return _checked_alc(1.0 - tr_sq / domain.measure), loc
+
+
+def _augmented_entropy(loc: HermitianOperator, measure: float) -> float:
+    """H_vN(L / |Omega|) for a localization L of trace |Omega|."""
+    return _spectral_entropy(_positive_eigenvalues(loc) / measure)
 
 
 VERDICTS = ("pass", "fail", "vacuous", "inconclusive")
@@ -172,9 +204,8 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     """
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     omega, chi = domain.measure, domain.indicator()
-    S_tilde = total_correlation(S)
-    a = alc(S_tilde, domain)  # also rejects an empty domain
-    loc = fn_op_convolve(chi, S)
+    eta, S_tilde = _spreading_and_correlation(S)
+    a, loc = _alc_and_localization(S, eta, domain)  # also rejects an empty domain
     w = _positive_eigenvalues(loc)
     A_omega = int(math.ceil(omega - 1e-12))
 
@@ -190,7 +221,7 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     symbol = np.clip(op_op_convolve(loc.matrix, S.matrix).real, 0.0, 1.0)
     int_phi_symbol = grid_integrate(phi(symbol))
     tr_phi_A = float(np.sum(phi(np.clip(w, 0.0, 1.0))))
-    w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S))
+    w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S, eta=eta))
     tr_phi_fS = float(np.sum(phi(np.clip(w_fS, 0.0, 1.0))))
 
     moment = grid_integrate(S_tilde * _centered_distance_grid(domain.d))

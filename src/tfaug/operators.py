@@ -6,20 +6,25 @@ Operators are dense d x d complex matrices.  The two convolutions are
     F (x) S  -> operator:  (1/d) sum_z F(z) pi(z) S pi(z)^*
     S (x) T  -> function:  z -> tr(S pi(z) PTP pi(z)^*)
 
-with P the parity f(x) -> f(-x mod d).  Both are FFTs along the generalized
-diagonals of their operators, O(d^2 log d); the direct sums are test oracles.
+with P the parity f(x) -> f(-x mod d).  Both rest on one transform pair,
+`spreading(S)` and its inverse `from_spreading(eta)`: the DFT along each
+generalized diagonal, O(d^2 log d).  By Werner's identities F (x) S has the
+spreading function F-hat eta_S / d (F-hat the symplectic DFT of F), and
+S (x) T is the inverse symplectic DFT of a product of spreading functions;
+in particular S-tilde = S (x) S-check is the transform of |eta_S|^2.  The
+direct sums are test oracles.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tf_core import tf_shift
+from .tf_core import grid_reflect
 
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A d x d Hermitian matrix, symmetrized on construction."""
+    """A finite d x d Hermitian matrix, symmetrized on construction."""
 
     matrix: np.ndarray
     hermiticity_defect: float = field(init=False)
@@ -30,8 +35,9 @@ class HermitianOperator:
             raise ValueError(f"operator must be square, got shape {A.shape}")
         defect = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
         scale = float(np.max(np.abs(A))) if A.size else 0.0
-        if defect > 1e-10 * max(scale, 1.0):
-            raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+        # a NaN or inf entry makes the defect NaN, which fails this test too
+        if not defect <= 1e-10 * max(scale, 1.0):
+            raise ValueError(f"matrix is not finite and Hermitian: defect {defect:.3e}")
         sym = 0.5 * (A + A.conj().T)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
@@ -133,15 +139,43 @@ def _diagonal_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.broadcast_to(x, (d, d)), (x[None, :] - x[:, None]) % d
 
 
-def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
+def spreading(S) -> np.ndarray:
+    """Spreading function eta_S[u, k] = sum_x S[x, x - u] exp(-2 pi i k x / d).
+
+    Row u is the DFT of the u-th generalized diagonal; `from_spreading`
+    inverts it.  For Hermitian S, |eta_S|^2 is the ambiguity function whose
+    symplectic DFT is S-tilde.
+    """
+    M = _as_matrix(S)
+    return np.fft.fft(M[_diagonal_index(M.shape[0])], axis=1)
+
+
+def from_spreading(eta: np.ndarray) -> np.ndarray:
+    """The d x d matrix whose spreading function is eta; inverts `spreading`."""
+    d = eta.shape[0]
+    out = np.empty((d, d), dtype=complex)
+    out[_diagonal_index(d)] = np.fft.ifft(eta, axis=1)
+    return out
+
+
+def _symplectic_fft(F: np.ndarray) -> np.ndarray:
+    """F-hat[u, k] = sum_{m,n} F[m, n] exp(2 pi i (n u - k m) / d)."""
+    return np.fft.fft(np.fft.ifft(F, axis=1) * F.shape[0], axis=0).T
+
+
+def _inverse_symplectic_fft(H: np.ndarray) -> np.ndarray:
+    """G[m, n] = (1/d) sum_{u,k} H[u, k] exp(2 pi i (u n - k m) / d)."""
+    return np.fft.fft(np.fft.ifft(H, axis=0), axis=1).T
+
+
+def fn_op_convolve(F: np.ndarray, S, *, eta: np.ndarray | None = None) -> HermitianOperator:
     """Convolution of a real grid function with an operator.
 
     F (x) S = (1/d) sum_{m,n} F(m,n) alpha_{(m,n)}(S).  Positive for F >= 0
     and S positive; tr(F (x) S) = grid_integrate(F) tr(S).
 
-    Diagonal u of the result is (1/d) sum_m W[m, u] S[x - m, x - m - u], a
-    cyclic convolution over x: one FFT per diagonal (Werner's product of
-    spreading functions), O(d^2 log d) in all, with W defined below.
+    Evaluated as from_spreading(F-hat eta_S) / d, O(d^2 log d).  eta is
+    spreading(S) when the caller already has it.
     """
     F = np.asarray(F)
     M = _as_matrix(S)
@@ -150,12 +184,8 @@ def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
         raise ValueError(f"grid shape {F.shape} does not match operator size {d}")
     if not np.isrealobj(F):
         raise ValueError("grid function must be real")
-    W = np.fft.ifft(F, axis=1) * d  # W[m, u] = sum_n F[m, n] exp(2 pi i n u / d)
-    idx = _diagonal_index(d)
-    spread = np.fft.fft(M[idx], axis=1) * np.fft.fft(W, axis=0).T
-    out = np.empty((d, d), dtype=complex)
-    out[idx] = np.fft.ifft(spread, axis=1) / d
-    return HermitianOperator(out)
+    eta = spreading(M) if eta is None else eta
+    return HermitianOperator(from_spreading(_symplectic_fft(F) * eta) / d)
 
 
 def op_op_convolve(S, T) -> np.ndarray:
@@ -163,23 +193,16 @@ def op_op_convolve(S, T) -> np.ndarray:
 
     (S (x) T)(z) = tr(S alpha_z(T-check)).  Real for Hermitian inputs,
     non-negative for positive inputs, and integrates to tr(S) tr(T).
-    Evaluated per generalized diagonal via FFT cross-correlations.
+    Evaluated as the inverse symplectic DFT of conj(eta_{S^*}) eta_{T-check},
+    where eta_{T-check}(z) = eta_T(-z).
     """
-    A = _as_matrix(S)
-    B = operator_parity(T)
+    A, B = _as_matrix(S), _as_matrix(T)
     d = A.shape[0]
     if B.shape[0] != d:
         raise ValueError(f"dimension mismatch: {d} vs {B.shape[0]}")
-    # tr(A alpha_{(m,n)}(B)) = sum_u e^{2 pi i n u / d} C[u, m] with
-    # C[u, m] = sum_x A[x, x+u] B[x+u-m, x-m]: a lag-m cross-correlation of
-    # the u-th generalized diagonals of A and B.
-    idx, neg = _diagonal_index(d), -np.arange(d) % d
-    DA, DB = A[idx][neg], B.T[idx][neg]  # DA[u, x] = A[x, x+u], DB[u, t] = B[t+u, t]
-    C = np.fft.ifft(
-        np.fft.fft(DA, axis=1) * np.conj(np.fft.fft(np.conj(DB), axis=1)), axis=1
+    out = _inverse_symplectic_fft(
+        np.conj(spreading(A.conj().T)) * grid_reflect(spreading(B))
     )
-    # out[m, n] = sum_u C[u, m] e^{2 pi i n u / d}
-    out = np.fft.ifft(C, axis=0).T * d
     if _is_hermitian(A) and _is_hermitian(B):
         out = np.ascontiguousarray(out.real)
     return out
@@ -201,28 +224,23 @@ def _clamp_nonnegative(out) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def total_correlation(S, rank_cut: float = 1e-10) -> np.ndarray:
+def total_correlation(S, *, eta: np.ndarray | None = None) -> np.ndarray:
     """Total correlation function S-tilde = S (x) S-check.
 
-    For a data operator, S-tilde(z) = sum_{i,j} |V_{f_i} f_j (z)|^2.  The
-    spectral decomposition of S is truncated at rank_cut times the largest
-    eigenvalue and the truncated operator is convolved with its own parity
-    reflection; the O(N^2) double-STFT sum is the test oracle.
+    For a data operator, S-tilde(z) = sum_{i,j} |V_{f_i} f_j (z)|^2.  It is
+    the inverse symplectic DFT of |eta_S|^2 (one 2-d FFT); eta is
+    spreading(S) when the caller already has it.  S must be positive: its
+    eigenvalues are checked (eigvalsh) at 1e-10 of the largest.  The O(N^2)
+    double-STFT sum is the test oracle.
 
     Non-negative, integrates to tr(S)^2 = 1, and S-tilde(0) = tr(S^2).
     """
     A = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    # V diag(w) V^* does not depend on the eigenvector phases, so plain eigh
-    w, V = np.linalg.eigh(A.matrix)  # ascending
+    w = np.linalg.eigvalsh(A.matrix)  # ascending
     if w.size and w[0] < -1e-10 * max(abs(w[-1]), 1.0):
         raise ValueError(f"operator is not positive: min eigenvalue {w[0]:.3e}")
-    if rank_cut > 0 and w.size:
-        keep = w >= rank_cut * w[-1]
-        V = V[:, keep]
-        M = (V * w[keep][None, :]) @ V.conj().T
-    else:
-        M = A.matrix
-    return _clamp_nonnegative(op_op_convolve(M, operator_parity(M)))
+    eta = spreading(A) if eta is None else eta
+    return _clamp_nonnegative(_inverse_symplectic_fft(np.abs(eta) ** 2))
 
 
 def cohen_class(S, f: np.ndarray) -> np.ndarray:

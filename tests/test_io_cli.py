@@ -73,6 +73,16 @@ class TestSignalFiles:
         assert main(["convert", "--in", a_csv, "--out", b_bin]) == 0
         assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("ext", [".bin", ".csv"])
+    def test_non_finite_rejected(self, rng, tmp_path, ext, value):
+        X = rand_dataset(rng, 2, 8).as_matrix()
+        X[1, 3] = value
+        path = tmp_path / f"sig{ext}"
+        T.write_signals(path, T.DataSet(tuple(X)))
+        with pytest.raises(ValueError, match="non-finite"):
+            T.read_signals(path)
+
     def test_csv_missing_header_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("1.0,0.0\n")
@@ -195,6 +205,14 @@ class TestCli:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["metrics", "--in", str(tmp_path / "nope.bin")]) == 2
 
+    def test_metrics_nan_file_exit_2(self, rng, tmp_path, capsys):
+        X = rand_dataset(rng, 3, 16).as_matrix()
+        X[0, 0] = np.nan
+        path = tmp_path / "nan.bin"
+        T.write_signals(path, T.DataSet(tuple(X)))
+        assert main(["metrics", "--in", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unknown_experiment_exit_2(self, capsys):
         assert main(["experiment", "--experiment", "nope"]) == 2
 
@@ -255,6 +273,20 @@ class TestExperimentConfig:
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"experiment": "hermite_mix", "d": "64"}))
         assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("name, trials", [("gauss_alc", "0"), ("bounds_suite", "-1")])
+    def test_trials_below_one_exit_2(self, tmp_path, name, trials):
+        assert main(["experiment", "--experiment", name, "--d", "48", "--trials", trials,
+                     "--out", str(tmp_path), "--no-svg"]) == 2
+        assert not (tmp_path / f"{name}.csv").exists()
+
+    def test_noise_levels_without_zero_exit_2(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"experiment": "local_components", "d": 48,
+                                    "noise_levels": [0.1, 0.3], "n_gauss": 10}))
+        assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "bad config: noise_levels must include 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "local_components.csv").exists()
 
     def test_undeclared_field_rejected(self):
         with pytest.raises(ValueError, match="does not read N"):

@@ -239,7 +239,7 @@ class TestTotalCorrelation:
 
     def test_brute_force_double_sum(self, rng):
         ds = rand_dataset(rng, 3, 8)
-        St = T.total_correlation(T.data_operator(ds), rank_cut=0)
+        St = T.total_correlation(T.data_operator(ds))
         brute = sum(
             T.spectrogram(fj, fi) for fi in ds.signals for fj in ds.signals
         )
@@ -253,10 +253,6 @@ class TestTotalCorrelation:
         S = rand_state(rng, 4, 16)
         St = T.total_correlation(S)
         assert abs(St[0, 0] - np.trace(S.matrix @ S.matrix).real) < 1e-9
-
-    def test_rank_cut_consistency(self, rng):
-        S = rand_state(rng, 3, 8)
-        assert np.max(np.abs(T.total_correlation(S, rank_cut=0) - T.total_correlation(S))) < 1e-9
 
     def test_rejects_non_positive(self, rng):
         M = np.diag([1.5, -0.5] + [0.0] * 6)
@@ -334,3 +330,8 @@ class TestHermitianOperator:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             T.HermitianOperator(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            T.HermitianOperator(np.full((4, 4), value))

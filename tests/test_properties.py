@@ -4,8 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import tfaug as T
+from tfaug.metrics import _alc_and_localization, _spreading_and_correlation
 
-from test_operators import fn_op_direct
+from test_operators import fn_op_direct, op_op_direct
 
 
 def _signal(seed, d):
@@ -68,3 +69,59 @@ def test_fn_op_convolve_matches_direct_sum(seed, d):
     S = X.T @ X.conj()
     F = rng.standard_normal((d, d))
     assert np.max(np.abs(T.fn_op_convolve(F, S).matrix - fn_op_direct(F, S))) < 1e-10
+
+
+small_dims = st.integers(min_value=1, max_value=12)
+
+
+def _dataset(rng, n, d):
+    return T.normalize_dataset(
+        T.DataSet(tuple(rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, d=small_dims)
+def test_op_op_convolve_matches_direct_sum(seed, d):
+    # general complex operators: neither needs to be Hermitian
+    rng = np.random.default_rng(seed)
+    A, B = (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+    A, B = A / np.linalg.norm(A), B / np.linalg.norm(B)
+    assert np.max(np.abs(T.op_op_convolve(A, B) - op_op_direct(A, B))) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, d=small_dims, n=st.integers(1, 4))
+def test_total_correlation_matches_double_stft_sum(seed, d, n):
+    ds = _dataset(np.random.default_rng(seed), n, d)
+    brute = sum(T.spectrogram(fj, fi) for fi in ds.signals for fj in ds.signals)
+    assert np.max(np.abs(T.total_correlation(T.data_operator(ds)) - brute)) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, d=small_dims, n=st.integers(1, 4))
+def test_cohen_class_matches_spectrogram_sum(seed, d, n):
+    rng = np.random.default_rng(seed)
+    ds = _dataset(rng, n, d)
+    f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    f /= np.linalg.norm(f)
+    direct = sum(T.spectrogram(f, fi) for fi in ds.signals)
+    assert np.max(np.abs(T.cohen_class(T.data_operator(ds), f) - direct)) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, d=small_dims, n=st.integers(1, 4))
+def test_alc_from_spreading_matches_alc(seed, d, n):
+    # on a mask with mask(-z) != mask(z) a wrongly reflected transform of
+    # chi_Omega changes the value; a centred rectangle would hide it
+    rng = np.random.default_rng(seed)
+    S = T.data_operator(_dataset(rng, n, d))
+    mask = rng.random((d, d)) < 0.4
+    mask[0, 0] = True
+    if d >= 3:
+        mask[0, 1], mask[0, d - 1] = True, False
+    dom = T.Domain(mask)
+    eta, _ = _spreading_and_correlation(S)
+    a, loc = _alc_and_localization(S, eta, dom)
+    assert abs(a - T.alc(T.total_correlation(S), dom)) < 1e-12
+    assert np.max(np.abs(loc.matrix - T.fn_op_convolve(dom.indicator(), S).matrix)) < 1e-12
