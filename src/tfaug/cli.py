@@ -22,9 +22,8 @@ from .datasets import (
 from .experiments import CATALOG, ExperimentConfig, run_experiment
 from .io import domain_from_json, domain_to_json, read_signals, write_signals
 from .metrics import (
-    _alc_and_localization,
-    _augmented_entropy,
-    _spreading_and_correlation,
+    _alc_and_augmented_entropy,
+    _checked_total_correlation,
     check_bounds,
     effective_dimension,
 )
@@ -73,9 +72,8 @@ def cmd_metrics(args) -> int:
     if args.domain or args.rect:
         args.d = ds.d
         dom = _load_domain(args)
-        eta, _ = _spreading_and_correlation(S)
-        a, loc = _alc_and_localization(S, eta, dom)
-        H_aug = _augmented_entropy(loc, dom.measure)
+        _checked_total_correlation(S)
+        a, H_aug = _alc_and_augmented_entropy(S, dom)
         out["domain_measure"] = dom.measure
         out["alc"] = a
         out["H_augmented"] = H_aug

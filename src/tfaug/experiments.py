@@ -27,11 +27,11 @@ from .datasets import (
     gen_random_tf_weighted,
 )
 from .metrics import (
-    _alc_and_localization,
+    _alc_and_augmented_entropy,
     _augmented_entropy,
-    _positive_eigenvalues,
+    _checked_total_correlation,
+    _nonnegative_spectrum,
     _spectral_entropy,
-    _spreading_and_correlation,
     check_bounds,
     von_neumann_entropy,
 )
@@ -275,12 +275,10 @@ def _run_alc_family(gen, config: ExperimentConfig):
     results = []
     for trial in range(config.trials):
         S = data_operator(gen(config.N, config.d, seed=config.seed + trial))
-        eta, _ = _spreading_and_correlation(S)
-        row = {}
-        for key, dom in domains.items():
-            a, loc = _alc_and_localization(S, eta, dom)
-            row[key] = (a, _augmented_entropy(loc, dom.measure))
-        results.append(row)
+        _checked_total_correlation(S)
+        results.append(
+            {key: _alc_and_augmented_entropy(S, dom) for key, dom in domains.items()}
+        )
     summary = {}
     for name, scale in domains:
         a = np.array([r[(name, scale)][0] for r in results])
@@ -311,16 +309,15 @@ def run_alc_vs_ed(config: ExperimentConfig):
     d = config.d
     ds = gen_chirps(config.N, d, seed=config.seed)
     S = data_operator(ds)
-    eta, _ = _spreading_and_correlation(S)
+    _checked_total_correlation(S)
     table = ResultTable(
         ["domain", "scale", "measure", "lower", "H_aug"], _meta(config)
     )
     for name, (w, h) in DOMAIN_SHAPES.items():
         for scale in DOMAIN_SCALES:
             dom = make_rect_domain(d, w * scale, h * scale)
-            a, loc = _alc_and_localization(S, eta, dom)
-            lower = math.log(dom.measure) + a
-            table.add(name, scale, dom.measure, lower, _augmented_entropy(loc, dom.measure))
+            a, H_aug = _alc_and_augmented_entropy(S, dom)
+            table.add(name, scale, dom.measure, math.log(dom.measure) + a, H_aug)
     report = {"lower_below_mid": all(r[3] <= r[4] + 1e-7 for r in table.rows)}
     curves = {
         "ln|O|+ALC": [(i, r[3]) for i, r in enumerate(table.rows)],
@@ -350,9 +347,9 @@ def run_local_components(config: ExperimentConfig):
     spectra = {}
     entropies = {}
     for name, S in ops.items():
-        w = _positive_eigenvalues(mixed_state_localization(dom, S))
-        spectra[name] = w[:n_eigs]
-        H_aug = _spectral_entropy(w / dom.measure)
+        w = np.linalg.eigvalsh(mixed_state_localization(dom, S).matrix)[::-1]
+        spectra[name] = _nonnegative_spectrum(w)[:n_eigs]
+        H_aug = _spectral_entropy(_nonnegative_spectrum(w / dom.measure))
         entropies[name] = {"H_S": von_neumann_entropy(S), "H_aug": H_aug}
     for k in range(n_eigs):
         table.add(k, *(spectra[name][k] for name in ops))

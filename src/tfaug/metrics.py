@@ -2,12 +2,12 @@
 checks.
 
 `check_bounds(S, Omega)` makes one analysis pass over a (data operator,
-domain) pair: it computes the spreading function eta_S, the total
-correlation S-tilde, the ALC, the localization chi_Omega (x) S and that
-operator's eigenvalues once, and derives every inequality from them; the
-experiments and the CLI share its per-S and per-(S, Omega) steps.  Each
-inequality comes back as a `CheckResult` recording `lhs <= rhs` with its
-tolerance and verdict; `entropy_covariance_check` returns the same type.
+domain) pair: it computes the total correlation S-tilde, the localization
+L = chi_Omega (x) S, the ALC (read off L) and L's eigenvalues once, and
+derives every inequality from them; the experiments and the CLI share its
+per-S and per-(S, Omega) steps.  Each inequality comes back as a
+`CheckResult` recording `lhs <= rhs` with its tolerance and verdict;
+`entropy_covariance_check` returns the same type.
 
 Natural logarithms throughout.  Structural identities are checked at
 1e-8..1e-10, entropy comparisons at 1e-7 absolute, discretization-sensitive
@@ -19,25 +19,31 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .augmentation import Domain
+from .augmentation import Domain, mixed_state_localization
 from .operators import (
     HermitianOperator,
     fn_op_convolve,
     op_op_convolve,
-    spreading,
     total_correlation,
 )
 from .tf_core import PhaseGrid, grid_convolve, grid_integrate
 
 
-def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
-    """Eigenvalues, descending; eigenvectors are not computed."""
-    A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
-    w = np.linalg.eigvalsh(A.matrix)[::-1]
+def _nonnegative_spectrum(w: np.ndarray, clamp_tolerance: float = 1e-8) -> np.ndarray:
+    """Descending eigenvalues w with roundoff negatives set to zero.
+
+    Raises ValueError when the smallest is below -clamp_tolerance max(1, max |w|).
+    """
     scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
     if w.size and w[-1] < -clamp_tolerance * scale:
         raise ValueError(f"operator is not positive: min eigenvalue {w[-1]:.3e}")
     return np.maximum(w, 0.0)
+
+
+def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
+    """Eigenvalues, descending; eigenvectors are not computed."""
+    A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
+    return _nonnegative_spectrum(np.linalg.eigvalsh(A.matrix)[::-1], clamp_tolerance)
 
 
 def _spectral_entropy(w: np.ndarray) -> float:
@@ -122,30 +128,37 @@ def alc(S_tilde: np.ndarray, domain: Domain) -> float:
     return _checked_alc(1.0 - inner / (domain.measure * d * d))
 
 
-def _spreading_and_correlation(S: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(eta_S, S-tilde), with S-tilde checked as a density: the per-S step."""
-    eta = spreading(S)
-    return eta, _check_density(total_correlation(S, eta=eta))
+def _checked_total_correlation(S) -> np.ndarray:
+    """S-tilde, with S checked positive and S-tilde checked as a density."""
+    return _check_density(total_correlation(S))
 
 
-def _alc_and_localization(S: HermitianOperator, eta: np.ndarray, domain: Domain):
-    """(ALC, L = chi_Omega (x) S) for one domain, from eta_S = spreading(S).
+def _localization_alc(loc: HermitianOperator, measure: float) -> float:
+    """The ALC read off a localization L = chi_Omega (x) S of trace |Omega|.
 
-    L takes one 2-d FFT of chi_Omega (`fn_op_convolve`).  The ALC is then
     O(d^2): by Parseval, tr(L^2) = ||chi-hat eta_S||^2 / d^3 =
     (1/d^2) sum_{z,w in Omega} S-tilde(w - z), so ALC = 1 - tr(L^2)/|Omega|,
-    range-checked as in `alc`.
+    equal to `alc(S-tilde, Omega)` and range-checked as there.  An empty
+    domain (|Omega| = 0) raises ValueError.
     """
-    if domain.n_cells == 0:
+    if measure <= 0:
         raise ValueError("domain is empty")
-    loc = fn_op_convolve(domain.indicator(), S, eta=eta)
-    tr_sq = float(np.vdot(loc.matrix, loc.matrix).real)
-    return _checked_alc(1.0 - tr_sq / domain.measure), loc
+    return _checked_alc(1.0 - float(np.vdot(loc.matrix, loc.matrix).real) / measure)
 
 
 def _augmented_entropy(loc: HermitianOperator, measure: float) -> float:
-    """H_vN(L / |Omega|) for a localization L of trace |Omega|."""
-    return _spectral_entropy(_positive_eigenvalues(loc) / measure)
+    """H_vN(L / |Omega|) for a localization L of trace |Omega|.
+
+    Positivity is checked on L / |Omega|, as `von_neumann_entropy` would.
+    """
+    w = np.linalg.eigvalsh(loc.matrix)[::-1] / measure
+    return _spectral_entropy(_nonnegative_spectrum(w))
+
+
+def _alc_and_augmented_entropy(S, domain: Domain) -> tuple[float, float]:
+    """(ALC, H_vN(L / |Omega|)) from one localization L = chi_Omega (x) S."""
+    loc = mixed_state_localization(domain, S)
+    return _localization_alc(loc, domain.measure), _augmented_entropy(loc, domain.measure)
 
 
 VERDICTS = ("pass", "fail", "vacuous", "inconclusive")
@@ -204,8 +217,9 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     """
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     omega, chi = domain.measure, domain.indicator()
-    eta, S_tilde = _spreading_and_correlation(S)
-    a, loc = _alc_and_localization(S, eta, domain)  # also rejects an empty domain
+    S_tilde = _checked_total_correlation(S)
+    loc = fn_op_convolve(chi, S)
+    a = _localization_alc(loc, omega)  # also rejects an empty domain
     w = _positive_eigenvalues(loc)
     A_omega = int(math.ceil(omega - 1e-12))
 
@@ -218,10 +232,10 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     def phi(x):
         return x - x * x
 
-    symbol = np.clip(op_op_convolve(loc.matrix, S.matrix).real, 0.0, 1.0)
+    symbol = np.clip(op_op_convolve(loc.matrix, S).real, 0.0, 1.0)
     int_phi_symbol = grid_integrate(phi(symbol))
     tr_phi_A = float(np.sum(phi(np.clip(w, 0.0, 1.0))))
-    w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S, eta=eta))
+    w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S))
     tr_phi_fS = float(np.sum(phi(np.clip(w_fS, 0.0, 1.0))))
 
     moment = grid_integrate(S_tilde * _centered_distance_grid(domain.d))

@@ -11,11 +11,13 @@ with P the parity f(x) -> f(-x mod d).  Both rest on one transform pair,
 generalized diagonal, O(d^2 log d).  By Werner's identities F (x) S has the
 spreading function F-hat eta_S / d (F-hat the symplectic DFT of F), and
 S (x) T is the inverse symplectic DFT of a product of spreading functions;
-in particular S-tilde = S (x) S-check is the transform of |eta_S|^2.  The
-direct sums are test oracles.
+in particular S-tilde = S (x) S-check is the transform of |eta_S|^2.  A
+HermitianOperator keeps its spreading function, so all transforms of one
+operator share a single one.  The direct sums are test oracles.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +52,12 @@ class HermitianOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+    @cached_property
+    def _spreading(self) -> np.ndarray:
+        eta = spreading(self.matrix)
+        eta.setflags(write=False)
+        return eta
 
 
 @dataclass(frozen=True)
@@ -144,9 +152,13 @@ def spreading(S) -> np.ndarray:
 
     Row u is the DFT of the u-th generalized diagonal; `from_spreading`
     inverts it.  For Hermitian S, |eta_S|^2 is the ambiguity function whose
-    symplectic DFT is S-tilde.
+    symplectic DFT is S-tilde.  A HermitianOperator computes its spreading
+    function once and keeps it read-only, so every transform of the same
+    operator shares it.
     """
-    M = _as_matrix(S)
+    if isinstance(S, HermitianOperator):
+        return S._spreading
+    M = np.asarray(S, dtype=complex)
     return np.fft.fft(M[_diagonal_index(M.shape[0])], axis=1)
 
 
@@ -168,14 +180,13 @@ def _inverse_symplectic_fft(H: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.fft.ifft(H, axis=0), axis=1).T
 
 
-def fn_op_convolve(F: np.ndarray, S, *, eta: np.ndarray | None = None) -> HermitianOperator:
+def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
     """Convolution of a real grid function with an operator.
 
     F (x) S = (1/d) sum_{m,n} F(m,n) alpha_{(m,n)}(S).  Positive for F >= 0
     and S positive; tr(F (x) S) = grid_integrate(F) tr(S).
 
-    Evaluated as from_spreading(F-hat eta_S) / d, O(d^2 log d).  eta is
-    spreading(S) when the caller already has it.
+    Evaluated as from_spreading(F-hat eta_S) / d, O(d^2 log d).
     """
     F = np.asarray(F)
     M = _as_matrix(S)
@@ -184,8 +195,7 @@ def fn_op_convolve(F: np.ndarray, S, *, eta: np.ndarray | None = None) -> Hermit
         raise ValueError(f"grid shape {F.shape} does not match operator size {d}")
     if not np.isrealobj(F):
         raise ValueError("grid function must be real")
-    eta = spreading(M) if eta is None else eta
-    return HermitianOperator(from_spreading(_symplectic_fft(F) * eta) / d)
+    return HermitianOperator(from_spreading(_symplectic_fft(F) * spreading(S)) / d)
 
 
 def op_op_convolve(S, T) -> np.ndarray:
@@ -201,7 +211,7 @@ def op_op_convolve(S, T) -> np.ndarray:
     if B.shape[0] != d:
         raise ValueError(f"dimension mismatch: {d} vs {B.shape[0]}")
     out = _inverse_symplectic_fft(
-        np.conj(spreading(A.conj().T)) * grid_reflect(spreading(B))
+        np.conj(spreading(A.conj().T)) * grid_reflect(spreading(T))
     )
     if _is_hermitian(A) and _is_hermitian(B):
         out = np.ascontiguousarray(out.real)
@@ -224,14 +234,13 @@ def _clamp_nonnegative(out) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def total_correlation(S, *, eta: np.ndarray | None = None) -> np.ndarray:
+def total_correlation(S) -> np.ndarray:
     """Total correlation function S-tilde = S (x) S-check.
 
     For a data operator, S-tilde(z) = sum_{i,j} |V_{f_i} f_j (z)|^2.  It is
-    the inverse symplectic DFT of |eta_S|^2 (one 2-d FFT); eta is
-    spreading(S) when the caller already has it.  S must be positive: its
-    eigenvalues are checked (eigvalsh) at 1e-10 of the largest.  The O(N^2)
-    double-STFT sum is the test oracle.
+    the inverse symplectic DFT of |eta_S|^2 (one 2-d FFT).  S must be
+    positive: its eigenvalues are checked (eigvalsh) at 1e-10 of the largest.
+    The O(N^2) double-STFT sum is the test oracle.
 
     Non-negative, integrates to tr(S)^2 = 1, and S-tilde(0) = tr(S^2).
     """
@@ -239,8 +248,7 @@ def total_correlation(S, *, eta: np.ndarray | None = None) -> np.ndarray:
     w = np.linalg.eigvalsh(A.matrix)  # ascending
     if w.size and w[0] < -1e-10 * max(abs(w[-1]), 1.0):
         raise ValueError(f"operator is not positive: min eigenvalue {w[0]:.3e}")
-    eta = spreading(A) if eta is None else eta
-    return _clamp_nonnegative(_inverse_symplectic_fft(np.abs(eta) ** 2))
+    return _clamp_nonnegative(_inverse_symplectic_fft(np.abs(spreading(A)) ** 2))
 
 
 def cohen_class(S, f: np.ndarray) -> np.ndarray:

@@ -47,6 +47,21 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError):
             T.von_neumann_entropy(T.HermitianOperator(np.diag([1.5, -0.5, 0.0, 0.0])))
 
+    @pytest.mark.parametrize("lowest, accepted", [(-1.5e-8, True), (-5e-8, False)])
+    def test_augmented_entropy_checks_normalized_operator(self, lowest, accepted):
+        # a localization L of trace |Omega| = 4: its lowest eigenvalue is
+        # checked on L/|Omega| (-3.75e-9 is roundoff, -1.25e-8 is not), as
+        # von_neumann_entropy(L/|Omega|) checks it
+        loc = T.HermitianOperator(np.diag([1.0, 1.0, 1.0, 1.0, lowest]))
+        if accepted:
+            H = tfaug.metrics._augmented_entropy(loc, 4.0)
+            assert H == pytest.approx(T.von_neumann_entropy(loc.matrix / 4.0), abs=1e-12)
+        else:
+            with pytest.raises(ValueError):
+                tfaug.metrics._augmented_entropy(loc, 4.0)
+            with pytest.raises(ValueError):
+                T.von_neumann_entropy(loc.matrix / 4.0)
+
 
 class TestEffectiveDimension:
     def test_rank_one(self, rng):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import tfaug as T
-from tfaug.operators import operator_parity, operator_shift, parity
+import tfaug.operators
+from tfaug.operators import operator_parity, operator_shift, parity, spreading
 
 from conftest import rand_dataset, rand_signal, rand_state, rand_unit
 
@@ -335,3 +336,26 @@ class TestHermitianOperator:
     def test_rejects_non_finite(self, value):
         with pytest.raises(ValueError):
             T.HermitianOperator(np.full((4, 4), value))
+
+    def test_spreading_kept_read_only(self, rng):
+        S = rand_state(rng, 3, 12)
+        eta = spreading(S)
+        assert spreading(S) is eta and not eta.flags.writeable
+        assert np.array_equal(eta, spreading(S.matrix))
+
+    def test_spreading_computed_once(self, rng, monkeypatch):
+        calls = []
+        diagonal_index = tfaug.operators._diagonal_index
+
+        def counted(d):
+            calls.append(d)
+            return diagonal_index(d)
+
+        monkeypatch.setattr(tfaug.operators, "_diagonal_index", counted)
+        S = rand_state(rng, 3, 12)
+        chi = T.make_rect_domain(12, 2.0, 1.5).indicator()
+        T.total_correlation(S)
+        T.fn_op_convolve(chi, S)
+        T.fn_op_convolve(chi, S)
+        # one spreading of S, then one from_spreading per convolution
+        assert len(calls) == 3

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import tfaug as T
-from tfaug.metrics import _alc_and_localization, _spreading_and_correlation
+from tfaug.metrics import _alc_and_augmented_entropy
 
 from test_operators import fn_op_direct, op_op_direct
 
@@ -111,7 +111,7 @@ def test_cohen_class_matches_spectrogram_sum(seed, d, n):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds, d=small_dims, n=st.integers(1, 4))
-def test_alc_from_spreading_matches_alc(seed, d, n):
+def test_alc_from_localization_matches_alc(seed, d, n):
     # on a mask with mask(-z) != mask(z) a wrongly reflected transform of
     # chi_Omega changes the value; a centred rectangle would hide it
     rng = np.random.default_rng(seed)
@@ -121,7 +121,7 @@ def test_alc_from_spreading_matches_alc(seed, d, n):
     if d >= 3:
         mask[0, 1], mask[0, d - 1] = True, False
     dom = T.Domain(mask)
-    eta, _ = _spreading_and_correlation(S)
-    a, loc = _alc_and_localization(S, eta, dom)
+    a, H_aug = _alc_and_augmented_entropy(S, dom)
     assert abs(a - T.alc(T.total_correlation(S), dom)) < 1e-12
-    assert np.max(np.abs(loc.matrix - T.fn_op_convolve(dom.indicator(), S).matrix)) < 1e-12
+    loc = T.mixed_state_localization(dom, S)
+    assert abs(H_aug - T.von_neumann_entropy(loc.matrix / dom.measure)) < 1e-12
