@@ -26,6 +26,7 @@ from .datasets import (
     gen_local_components,
     gen_random_tf_weighted,
 )
+from .io import float_row
 from .metrics import (
     _alc_and_augmented_entropy,
     _augmented_entropy,
@@ -68,7 +69,8 @@ class ExperimentConfig:
     hash and the report record the run that actually happens.  An unknown
     experiment, a field or key the experiment does not read, a value whose
     type differs from the default's (for lists: the items' type), trials
-    below 1 or noise_levels without 0.0 raises ValueError.
+    below 1, noise_levels without 0.0 or n_eigs outside 1..d raises
+    ValueError.
     """
 
     experiment: str
@@ -105,6 +107,9 @@ class ExperimentConfig:
         if 0.0 not in params.get("noise_levels", [0.0]):
             # local_components compares the noiseless operator with the classical one
             raise ValueError(f"noise_levels must include 0.0, got {params['noise_levels']}")
+        if not 1 <= params.get("n_eigs", 1) <= self.d:
+            # local_components tabulates the n_eigs largest of d eigenvalues
+            raise ValueError(f"n_eigs must be between 1 and d = {self.d}, got {params['n_eigs']}")
 
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""
@@ -125,7 +130,12 @@ class ExperimentConfig:
 
 
 class ResultTable:
-    """Rectangular numeric table with a reproducibility metadata header."""
+    """Rectangular numeric table with a reproducibility metadata header.
+
+    `add` appends a mixed row (a tuple of str, int, bool, None or float);
+    `add_grid` appends the rows of a real grid as lists of floats, which
+    `to_csv` formats in one pass with `io.float_row`.
+    """
 
     def __init__(self, columns, metadata=None):
         self.columns = list(columns)
@@ -136,6 +146,15 @@ class ResultTable:
         if len(values) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
         self.rows.append(tuple(values))
+
+    def add_grid(self, G) -> None:
+        G = np.asarray(G)
+        if G.ndim != 2 or G.shape[1] != len(self.columns) or not np.isrealobj(G):
+            raise ValueError(
+                f"expected a real grid of {len(self.columns)} columns, "
+                f"got {G.dtype} of shape {G.shape}"
+            )
+        self.rows.extend(G.astype(float).tolist())
 
     @staticmethod
     def _fmt(v) -> str:
@@ -153,7 +172,10 @@ class ResultTable:
         lines = [f"# {k}={v}" for k, v in sorted(self.metadata.items())]
         lines.append(",".join(self.columns))
         for row in self.rows:
-            lines.append(",".join(self._fmt(v) for v in row))
+            if type(row) is list:
+                lines.append(float_row(row))
+            else:
+                lines.append(",".join(self._fmt(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def write(self, path) -> None:
@@ -256,8 +278,7 @@ def _run_totalcorr(gen, config: ExperimentConfig):
     ds = gen(config.N, config.d, seed=config.seed)
     St = total_correlation(data_operator(ds))
     table = ResultTable([f"c{j}" for j in range(config.d)], _meta(config))
-    for row in St:
-        table.add(*row)
+    table.add_grid(St)
     report = {"grid_max": float(St.max()), "grid_sum": float(St.sum())}
     return table, report, {config.experiment: svg.heatmap_svg(St, config.experiment)}
 
@@ -399,10 +420,8 @@ def run_cohen_demo(config: ExperimentConfig):
     ds = gen_chirps(config.N, d, seed=config.seed)
     Q_chirp = cohen_class(data_operator(ds).matrix, g)
     table = ResultTable([f"c{j}" for j in range(d)], _meta(config))
-    for row in Q_gauss:
-        table.add(*row)
-    for row in Q_chirp:
-        table.add(*row)
+    table.add_grid(Q_gauss)
+    table.add_grid(Q_chirp)
     report = {
         "gauss_mass": float(Q_gauss.sum() / d),
         "chirp_mass": float(Q_chirp.sum() / d),

@@ -26,16 +26,27 @@ def _check_finite(path, values: np.ndarray) -> np.ndarray:
     return values
 
 
+def float_row(values) -> str:
+    """Comma-joined `repr` of Python floats: the shortest text that reads back
+    bit exactly, the same as `repr(float(v))` per value (-0.0, nan, inf too)."""
+    return ",".join(map(repr, values))
+
+
+def _interleaved(X: np.ndarray) -> np.ndarray:
+    """(N, 2d) float rows re0, im0, re1, im1, ... of the (N, d) complex X."""
+    out = np.empty((X.shape[0], 2 * X.shape[1]))
+    out[:, 0::2] = X.real
+    out[:, 1::2] = X.imag
+    return out
+
+
 def write_signals_binary(path, dataset: DataSet) -> None:
     X = dataset.as_matrix().astype(np.complex128)
     N, d = X.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", d, N))
-        interleaved = np.empty((N, 2 * d))
-        interleaved[:, 0::2] = X.real
-        interleaved[:, 1::2] = X.imag
-        fh.write(interleaved.astype("<f8").tobytes())
+        fh.write(_interleaved(X).astype("<f8").tobytes())
 
 
 def read_signals_binary(path) -> DataSet:
@@ -57,12 +68,7 @@ def write_signals_csv(path, dataset: DataSet) -> None:
     N, d = X.shape
     with open(path, "w", newline="") as fh:
         fh.write(f"# d={d} n={N}\n")
-        for row in X:
-            cells = []
-            for v in row:
-                cells.append(repr(float(v.real)))
-                cells.append(repr(float(v.imag)))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(float_row(row) + "\n" for row in _interleaved(X).tolist())
 
 
 def read_signals_csv(path) -> DataSet:

@@ -1,8 +1,13 @@
 """Minimal hand-emitted SVG output: polylines and heatmaps.
 
 CSV is the canonical experiment output; these plots are best-effort visual
-aids with no charting dependency.
+aids with no charting dependency.  Line plots are vector; a heatmap holds
+one grayscale PNG (stdlib zlib/struct/base64) with one pixel per cell.
 """
+
+import base64
+import struct
+import zlib
 
 import numpy as np
 
@@ -50,28 +55,51 @@ def polyline_svg(series: dict, title: str = "", xlabel: str = "", ylabel: str = 
     return "\n".join(parts)
 
 
+def _png_gray(pixels: np.ndarray) -> bytes:
+    """8-bit grayscale PNG of a (rows, cols) uint8 array, top row first."""
+    h, w = pixels.shape
+    # each scanline starts with filter type 0 (none)
+    raw = np.hstack([np.zeros((h, 1), np.uint8), pixels]).tobytes()
+
+    def chunk(tag, data):
+        return (struct.pack(">I", len(data)) + tag + data
+                + struct.pack(">I", zlib.crc32(tag + data)))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(raw))
+            + chunk(b"IEND", b""))
+
+
 def heatmap_svg(F: np.ndarray, title: str = "") -> str:
-    """Grayscale cell heatmap of a real grid function (origin centered)."""
+    """Grayscale cell heatmap of a real grid function (origin centered).
+
+    The cells are one embedded PNG, one pixel per cell with shade
+    int(255 * (1 - v)) for v = (F - min) / (max - min), first row at the
+    bottom, scaled up with nearest-neighbour rendering.  Raises ValueError
+    for a grid holding NaN or inf, or whose range overflows.
+    """
     F = np.asarray(F, dtype=float)
+    if not np.isfinite(F).all():
+        raise ValueError("heat map grid holds a non-finite value (NaN or inf)")
     d = F.shape[0]
     # put the origin in the middle for readability
     F = np.roll(F, (d // 2, d // 2), axis=(0, 1))
     lo, hi = float(F.min()), float(F.max())
     span = hi - lo if hi > lo else 1.0
+    if not np.isfinite(span):
+        raise ValueError(f"heat map range [{lo!r}, {hi!r}] overflows")
+    # 0 <= 255 * (1 - v) <= 255, so the cast truncates like int()
+    shades = (255 * (1.0 - (F - lo) / span)).astype(np.uint8)
+    png = base64.b64encode(_png_gray(shades[::-1])).decode("ascii")
     size = max(2, 560 // d)
     w = d * size
-    parts = [
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{w + 30}" '
         f'viewBox="0 0 {w} {w + 30}">',
         f'<text x="{w / 2:.0f}" y="18" text-anchor="middle" font-size="14">{title}</text>',
-    ]
-    for i in range(d):
-        for j in range(d):
-            v = (F[i, j] - lo) / span
-            shade = int(255 * (1.0 - v))
-            parts.append(
-                f'<rect x="{j * size}" y="{30 + (d - 1 - i) * size}" width="{size}" '
-                f'height="{size}" fill="rgb({shade},{shade},{shade})"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+        f'<image x="0" y="30" width="{w}" height="{w}" preserveAspectRatio="none" '
+        'image-rendering="optimizeSpeed" style="image-rendering:pixelated" '
+        f'href="data:image/png;base64,{png}"/>',
+        "</svg>",
+    ])

@@ -175,18 +175,21 @@ def test_criterion_4_figure_reproduction(tmp_path):
 
 
 def test_criterion_5_determinism(tmp_path):
-    for name, extra in (
-        ("bounds_suite", ["--d", "16", "--trials", "10"]),
-        ("gauss_alc", ["--d", "100", "--trials", "5", "--N", "10"]),
+    for name, extra, files in (
+        ("bounds_suite", ["--d", "16", "--trials", "10", "--no-svg"], ["bounds_suite.csv"]),
+        ("gauss_alc", ["--d", "100", "--trials", "5", "--N", "10", "--no-svg"],
+         ["gauss_alc.csv"]),
+        ("chirp_totalcorr", ["--d", "33", "--N", "12", "--svg"],
+         ["chirp_totalcorr.csv", "chirp_totalcorr.svg"]),
     ):
         outs = []
         for sub in ("a", "b"):
             out = tmp_path / name / sub
             code = main(
                 ["experiment", "--experiment", name, "--seed", "9",
-                 "--out", str(out), "--no-svg"] + extra
+                 "--out", str(out)] + extra
             )
             assert code == 0
-            outs.append((out / f"{name}.csv").read_bytes())
+            outs.append([(out / f).read_bytes() for f in files])
         assert outs[0] == outs[1]
-    print("ACCEPTANCE 5 (byte-identical CSV reruns): PASS")
+    print("ACCEPTANCE 5 (byte-identical CSV and SVG reruns): PASS")

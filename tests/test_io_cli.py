@@ -83,6 +83,15 @@ class TestSignalFiles:
         with pytest.raises(ValueError, match="non-finite"):
             T.read_signals(path)
 
+    def test_csv_text_is_repr_of_each_part(self, tmp_path):
+        # the CSV writer formats whole rows at once; its text must equal
+        # repr(float(.)) of every real and imaginary part in order
+        parts = np.array([[-0.0, 5e-324, 1e16, 0.1, -1e-300, 2.0**53, 1 / 3, -0.0]])
+        X = parts.view(np.complex128)
+        write_signals_csv(tmp_path / "s.csv", T.DataSet(tuple(X)))
+        row = ",".join(repr(float(p)) for v in X[0] for p in (v.real, v.imag))
+        assert (tmp_path / "s.csv").read_text() == f"# d=4 n=1\n{row}\n"
+
     def test_csv_missing_header_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("1.0,0.0\n")
@@ -288,6 +297,12 @@ class TestExperimentConfig:
         assert "bad config: noise_levels must include 0.0" in capsys.readouterr().err
         assert not (tmp_path / "local_components.csv").exists()
 
+    def test_n_eigs_above_d_exit_2(self, tmp_path, capsys):
+        assert main(["experiment", "--experiment", "local_components", "--d", "32",
+                     "--out", str(tmp_path), "--no-svg"]) == 2
+        assert "bad config: n_eigs must be between 1 and d = 32, got 40" in capsys.readouterr().err
+        assert not (tmp_path / "local_components.csv").exists()
+
     def test_undeclared_field_rejected(self):
         with pytest.raises(ValueError, match="does not read N"):
             T.ExperimentConfig("hermite_mix", N=999)
@@ -310,3 +325,39 @@ class TestExperimentConfig:
         assert again["config_hash"] == report["config_hash"]
         assert ((first / "chirp_totalcorr.csv").read_bytes()
                 == (second / "chirp_totalcorr.csv").read_bytes())
+
+
+class TestResultTable:
+    SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]
+
+    def test_grid_rows_match_fmt(self):
+        table = T.ResultTable([f"c{j}" for j in range(7)])
+        G = np.array([self.SPECIAL, self.SPECIAL[::-1]])
+        table.add_grid(G)
+        rows = table.to_csv().splitlines()[1:]
+        assert rows == [",".join(T.ResultTable._fmt(v) for v in r) for r in G]
+        assert rows[0] == "-0.0,nan,inf,-inf,5e-324,1e+16,0.1"
+
+    def test_mixed_rows_unchanged(self):
+        table = T.ResultTable(list("abcdefghi"), {"seed": 3})
+        table.add("wide", 3, True, None, 0.1, np.float64(-0.0), np.int64(7),
+                  np.bool_(False), np.nan)
+        assert table.to_csv() == "# seed=3\na,b,c,d,e,f,g,h,i\nwide,3,1,,0.1,-0.0,7,0,nan\n"
+
+    def test_grid_and_mixed_rows_keep_order(self):
+        table = T.ResultTable(["x", "y"])
+        table.add("a", 1)
+        table.add_grid(np.array([[0.5, -0.0]]))
+        table.add(None, False)
+        assert table.to_csv().splitlines()[1:] == ["a,1", "0.5,-0.0", ",0"]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,), (1, 2, 4)])
+    def test_add_grid_rejects_wrong_shape(self, shape):
+        table = T.ResultTable(["a", "b", "c", "d"])
+        with pytest.raises(ValueError, match="4 columns"):
+            table.add_grid(np.zeros(shape))
+        assert table.rows == []
+
+    def test_add_grid_rejects_complex(self):
+        with pytest.raises(ValueError, match="real grid"):
+            T.ResultTable(["a", "b"]).add_grid(np.ones((2, 2), complex))
