@@ -17,7 +17,7 @@ from .operators import (
     fn_op_convolve,
     spectral_decompose,
 )
-from .tf_core import PhaseGrid, tf_shift
+from .tf_core import PhaseGrid, _tf_shifts
 
 
 @dataclass(frozen=True)
@@ -162,25 +162,19 @@ def finite_rank_approx(domain: Domain, S):
 def augment_dataset(domain: Domain, dataset: DataSet, max_signals: int = 200_000) -> DataSet:
     """Materialize the Omega-augmented dataset on the grid.
 
-    D_Omega = {(|Omega| d)^{-1/2} pi(mu) f_i : mu a cell of Omega}.  Its data
-    operator equals mixed_state_localization(Omega, S) / |Omega|.
+    D_Omega = {(|Omega| d)^{-1/2} pi(mu) f_i : mu a cell of Omega}, signal by
+    signal, each over the cells in `domain.cells()` order; one gather over all
+    of them, after the cap on the output size is checked.  Its data operator
+    equals mixed_state_localization(Omega, S) / |Omega|.
     """
-    cells = domain.cells()
-    if len(cells) == 0:
+    n_out = domain.n_cells * len(dataset)
+    if n_out == 0:
         raise ValueError("domain is empty")
-    n_out = len(cells) * len(dataset)
     if n_out > max_signals:
-        raise ValueError(
-            f"augmentation would produce {n_out} signals (cap {max_signals})"
-        )
-    scale = (domain.measure * domain.d) ** -0.5
-    signals = [
-        scale * tf_shift(f, (int(m), int(n)))
-        for f in dataset.signals
-        for m, n in cells
-    ]
-    return DataSet(
-        tuple(signals),
-        dataset.seed,
-        f"augmented({dataset.label}, cells={len(cells)})",
-    )
+        raise ValueError(f"augmentation would produce {n_out} signals (cap {max_signals})")
+    m, n = domain.cells().T
+    X = _tf_shifts(dataset.signals, m, n)
+    X *= (domain.measure * domain.d) ** -0.5
+    X.setflags(write=False)  # so DataSet keeps it without a copy
+    label = f"augmented({dataset.label}, cells={len(m)})"
+    return DataSet(X.reshape(-1, dataset.d), dataset.seed, label)

@@ -15,35 +15,45 @@ from .tf_core import gaussian_window, tf_shift
 
 @dataclass(frozen=True)
 class DataSet:
-    """A list of equal-length signals with the provenance of its generator."""
+    """N equal-length signals as the rows of one read-only (N, d) complex
+    matrix, with the provenance of their generator.  Built from a 2-d array or
+    a sequence of 1-d signals; a read-only C-ordered complex array is kept,
+    anything else copied."""
 
-    signals: tuple
+    signals: np.ndarray
     seed: int | None = None
     label: str = ""
 
     def __post_init__(self):
-        if len(self.signals) == 0:
+        X = self.signals
+        if len(X) == 0:
             raise ValueError("dataset must be nonempty")
-        sigs = tuple(np.asarray(s, dtype=complex) for s in self.signals)
-        d = len(sigs[0])
-        for s in sigs:
-            if s.ndim != 1 or len(s) != d:
+        if not (isinstance(X, np.ndarray) and X.ndim == 2):
+            rows = [np.asarray(s) for s in X]
+            if any(r.ndim != 1 or len(r) != len(rows[0]) for r in rows):
                 raise ValueError("all signals must share one dimension")
-        object.__setattr__(self, "signals", sigs)
+            X = np.stack(rows)
+        if X.shape[1] < 1:
+            raise ValueError("signals must have at least one sample")
+        if X.flags.writeable or not X.flags.c_contiguous or X.dtype != complex:
+            X = np.array(X, dtype=complex, order="C")
+            X.setflags(write=False)
+        object.__setattr__(self, "signals", X)
 
     @property
     def d(self) -> int:
-        return len(self.signals[0])
+        return self.signals.shape[1]
 
     def __len__(self) -> int:
         return len(self.signals)
 
     def as_matrix(self) -> np.ndarray:
-        """Signals stacked as rows, shape (N, d)."""
-        return np.stack(self.signals)
+        """A writable copy of the signals, shape (N, d)."""
+        return self.signals.copy()
 
     def total_energy(self) -> float:
-        return float(sum(np.sum(np.abs(s) ** 2) for s in self.signals))
+        # row sums added in row order: the bits of a per-signal loop
+        return float(sum(np.sum(np.abs(self.signals) ** 2, axis=1)))
 
 
 def normalize_dataset(dataset: DataSet) -> DataSet:
@@ -51,10 +61,7 @@ def normalize_dataset(dataset: DataSet) -> DataSet:
     total = dataset.total_energy()
     if total <= 0:
         raise ValueError("cannot normalize an all-zero dataset")
-    scale = total**-0.5
-    return DataSet(
-        tuple(scale * s for s in dataset.signals), dataset.seed, dataset.label
-    )
+    return DataSet(total**-0.5 * dataset.signals, dataset.seed, dataset.label)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -105,7 +112,7 @@ def gen_chirps(
         shift = rng.integers(0, d)
         chirp = np.exp(2j * np.pi * (f0 * t + 0.5 * rate * t**2))
         signals.append(chirp * np.roll(env, shift))
-    ds = DataSet(tuple(signals), seed, f"chirps(N={N},d={d})")
+    ds = DataSet(signals, seed, f"chirps(N={N},d={d})")
     return normalize_dataset(ds)
 
 
@@ -168,7 +175,7 @@ def gen_local_components(
             noise *= (noise_energy**0.5) / np.linalg.norm(noise)
             f = f + noise
         signals.append(f)
-    ds = DataSet(tuple(signals), seed, f"local_components(N={N},d={d},noise={noise_energy})")
+    ds = DataSet(signals, seed, f"local_components(N={N},d={d},noise={noise_energy})")
     return normalize_dataset(ds)
 
 
@@ -214,7 +221,7 @@ def gen_random_tf_weighted(
         2j * np.pi * rng.uniform(size=(N, len(lattice)))
     )
     signals = (coeffs * weights[None, :]) @ atoms
-    ds = DataSet(tuple(signals), seed, f"tf_weighted(N={N},d={d})")
+    ds = DataSet(signals, seed, f"tf_weighted(N={N},d={d})")
     return normalize_dataset(ds)
 
 
@@ -255,5 +262,5 @@ def gen_gaussian_combos(
         picks = rng.integers(0, len(lattice), size=n_atoms)
         c = rng.uniform(size=n_atoms) * np.exp(2j * np.pi * rng.uniform(size=n_atoms))
         signals.append(c @ atoms[picks])
-    ds = DataSet(tuple(signals), seed, f"gaussian_combos(N={N},d={d})")
+    ds = DataSet(signals, seed, f"gaussian_combos(N={N},d={d})")
     return normalize_dataset(ds)

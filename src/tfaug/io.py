@@ -1,10 +1,11 @@
 """Signal-set and domain serialization.
 
 Binary format: little-endian, magic "QHA1", u32 d, u32 N, then N*d
-complex samples as (f64 real, f64 imag) pairs.  CSV alternative: one
-signal per row with 2d interleaved re,im columns and a header row
-"# d=<d> n=<N>".  Round trips are bit exact.  The readers reject a file
-that holds a NaN or an inf.
+complex samples as (f64 real, f64 imag) pairs, which is the memory of the
+dataset's (N, d) complex128 matrix; it is written and read as one block.
+CSV alternative: one signal per row with 2d interleaved re,im columns and a
+header row "# d=<d> n=<N>".  Round trips are bit exact.  The readers reject
+a file that holds a NaN or an inf, or an empty signal.
 """
 
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augmentation import Domain, make_cells_domain, make_rect_domain
+from .augmentation import Domain, full_domain, make_cells_domain, make_rect_domain
 from .datasets import DataSet
 from .tf_core import PhaseGrid
 
@@ -32,21 +33,14 @@ def float_row(values) -> str:
     return ",".join(map(repr, values))
 
 
-def _interleaved(X: np.ndarray) -> np.ndarray:
-    """(N, 2d) float rows re0, im0, re1, im1, ... of the (N, d) complex X."""
-    out = np.empty((X.shape[0], 2 * X.shape[1]))
-    out[:, 0::2] = X.real
-    out[:, 1::2] = X.imag
-    return out
-
-
 def write_signals_binary(path, dataset: DataSet) -> None:
-    X = dataset.as_matrix().astype(np.complex128)
+    # complex128 memory is already the file's interleaved f64 re/im pairs
+    X = np.ascontiguousarray(dataset.signals, dtype="<c16")
     N, d = X.shape
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", d, N))
-        fh.write(_interleaved(X).astype("<f8").tobytes())
+        fh.write(X)
 
 
 def read_signals_binary(path) -> DataSet:
@@ -57,18 +51,18 @@ def read_signals_binary(path) -> DataSet:
     expect = 12 + N * d * 16
     if len(raw) != expect:
         raise ValueError(f"{path}: truncated, expected {expect} bytes, got {len(raw)}")
-    # a view, not re + 1j*im, which would turn a -0.0 real part into +0.0
-    flat = _check_finite(path, np.frombuffer(raw[12:], dtype="<f8").astype(np.float64))
-    X = flat.view(np.complex128).reshape(N, d)
-    return DataSet(tuple(X), label=f"file({Path(path).name})")
+    # a view of the bytes; re + 1j*im would turn a -0.0 real part into +0.0
+    X = np.frombuffer(raw, dtype="<c16", count=N * d, offset=12).reshape(N, d)
+    return DataSet(_check_finite(path, X), label=f"file({Path(path).name})")
 
 
 def write_signals_csv(path, dataset: DataSet) -> None:
-    X = dataset.as_matrix()
-    N, d = X.shape
+    N, d = dataset.signals.shape
+    # the C-ordered complex128 rows viewed as re0, im0, re1, im1, ... floats
+    rows = dataset.signals.view(np.float64).tolist()
     with open(path, "w", newline="") as fh:
         fh.write(f"# d={d} n={N}\n")
-        fh.writelines(float_row(row) + "\n" for row in _interleaved(X).tolist())
+        fh.writelines(float_row(row) + "\n" for row in rows)
 
 
 def read_signals_csv(path) -> DataSet:
@@ -80,13 +74,13 @@ def read_signals_csv(path) -> DataSet:
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != N:
         raise ValueError(f"{path}: header says {N} signals, found {len(rows)} rows")
-    signals = []
-    for ln in rows:
-        vals = np.array([float(tok) for tok in ln.split(",")])
+    X = np.empty((N, 2 * d))
+    for i, ln in enumerate(rows):
+        vals = [float(tok) for tok in ln.split(",")]
         if len(vals) != 2 * d:
             raise ValueError(f"{path}: row has {len(vals)} columns, expected {2 * d}")
-        signals.append(_check_finite(path, vals).view(np.complex128))
-    return DataSet(tuple(signals), label=f"file({Path(path).name})")
+        X[i] = vals
+    return DataSet(_check_finite(path, X).view(np.complex128), label=f"file({Path(path).name})")
 
 
 def write_signals(path, dataset: DataSet) -> None:
@@ -119,8 +113,6 @@ def domain_from_json(text: str) -> Domain:
             tuple(spec.get("center", (0.0, 0.0))),
         )
     if shape == "full":
-        from .augmentation import full_domain
-
         return full_domain(d)
     if shape == "cells":
         return make_cells_domain(PhaseGrid(d), spec["cells"])

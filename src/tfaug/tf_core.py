@@ -34,8 +34,8 @@ class PhaseGrid:
 
 def _check_signal(f: np.ndarray, d: int | None = None) -> np.ndarray:
     f = np.asarray(f)
-    if f.ndim != 1:
-        raise ValueError(f"signal must be 1-d, got shape {f.shape}")
+    if f.ndim != 1 or f.size == 0:
+        raise ValueError(f"signal must be 1-d and nonempty, got shape {f.shape}")
     if d is not None and len(f) != d:
         raise ValueError(f"dimension mismatch: signal has length {len(f)}, expected {d}")
     return f
@@ -47,11 +47,17 @@ def tf_shift(f: np.ndarray, z: tuple[int, int]) -> np.ndarray:
     pi(m, n) f(x) = exp(2 pi i x n / d) * f(x - m mod d).  Unitary, so the
     norm is preserved exactly up to round-off.
     """
-    f = _check_signal(f)
-    d = len(f)
     m, n = z
+    return _tf_shifts(_check_signal(f)[None, :], [m], [n])[0, 0]
+
+
+def _tf_shifts(X: np.ndarray, m, n) -> np.ndarray:
+    """pi(m_k, n_k) applied to every row of the (N, d) X, shape (N, K, d):
+    one gather X[:, (x - m_k) mod d] times one (K, d) phase table."""
+    d = X.shape[1]
     x = np.arange(d)
-    return np.exp(2j * np.pi * x * (n % d) / d) * np.roll(f, m % d)
+    m, n = np.asarray(m)[:, None], np.asarray(n)[:, None]
+    return np.exp(2j * np.pi * x * (n % d) / d) * X.take((x - m) % d, axis=1)
 
 
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,3 +157,35 @@ class TestAugmentDataset:
         ds = rand_dataset(rng, 5, d)
         with pytest.raises(ValueError):
             T.augment_dataset(T.full_domain(d), ds, max_signals=100)
+
+    def test_cap_checked_before_allocating(self, rng):
+        # the cell list of the full d=2048 grid alone takes 67 MB
+        ds = rand_dataset(rng, 1, 2048)
+        dom = T.full_domain(2048)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cap"):
+                T.augment_dataset(dom, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 16])
+    @pytest.mark.parametrize("shape", ["rect", "cells", "full"])
+    def test_matches_per_signal_oracle_bit_for_bit(self, rng, d, shape):
+        if shape == "rect":
+            dom = T.make_rect_domain(d, 0.8 * math.sqrt(d), 0.6 * math.sqrt(d))
+        elif shape == "cells":
+            dom = T.make_cells_domain(d, [(0, 0), (1, 2), (1, 2), (-1, d + 3), (2 * d + 1, -5)])
+        else:
+            dom = T.full_domain(d)
+        ds = rand_dataset(rng, 3, d)
+        scale = (dom.measure * d) ** -0.5
+        # signal-major, then cell order
+        expect = np.array([
+            scale * T.tf_shift(f, (int(m), int(n))) for f in ds.signals for m, n in dom.cells()
+        ])
+        aug = T.augment_dataset(dom, ds)
+        assert aug.signals.shape == expect.shape
+        assert np.array_equal(aug.signals.view(np.uint64), expect.view(np.uint64))

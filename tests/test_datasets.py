@@ -39,6 +39,53 @@ class TestNormalize:
             T.DataSet((np.ones(4), np.ones(5)))
 
 
+class TestDataSetMatrix:
+    def test_signals_read_only_and_as_matrix_a_writable_copy(self, rng):
+        rows = [rand_signal(rng, 8) for _ in range(3)]
+        ds = T.DataSet(rows)
+        assert ds.signals.shape == (3, 8) and ds.signals.dtype == np.complex128
+        assert len(ds) == 3 and ds.d == 8
+        with pytest.raises(ValueError):
+            ds.signals[0, 0] = 1.0
+        M = ds.as_matrix()
+        assert not np.shares_memory(M, ds.signals)
+        M[0, 0] = 99.0
+        assert np.array_equal(ds.signals, np.stack(rows))
+        assert all(np.array_equal(f, r) for f, r in zip(ds.signals, rows, strict=True))
+
+    def test_two_d_array_accepted_and_copied(self, rng):
+        X = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        ds = T.DataSet(X)
+        assert np.array_equal(ds.signals, X)
+        assert np.array_equal(ds.signals, T.DataSet(tuple(X)).signals)
+        X[0, 0] = 99.0
+        assert ds.signals[0, 0] != 99.0
+        real = T.DataSet(np.ones((2, 3)))
+        assert real.signals.dtype == np.complex128 and real.signals.flags.c_contiguous
+
+    def test_zero_length_signals_rejected(self):
+        with pytest.raises(ValueError):
+            T.DataSet(np.zeros((3, 0)))
+        with pytest.raises(ValueError):
+            T.DataSet(tuple(np.zeros((3, 0))))
+
+    def test_non_1d_signal_rejected(self):
+        with pytest.raises(ValueError):
+            T.DataSet((np.ones((2, 2)),))
+        with pytest.raises(ValueError):
+            T.DataSet(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError):
+            T.DataSet(np.ones(4))
+
+    def test_total_energy_is_the_per_signal_sum(self, rng):
+        # row sums added in row order; one whole-array sum rounds differently
+        for _ in range(30):
+            n, d = (int(v) for v in rng.integers(1, 300, size=2))
+            ds = T.DataSet(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+            expect = float(sum(np.sum(np.abs(f) ** 2) for f in ds.as_matrix()))
+            assert ds.total_energy() == expect
+
+
 class TestChirps:
     def test_single_chirp_normalized(self):
         ds = T.gen_chirps(1, 280, seed=0)

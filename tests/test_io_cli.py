@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,14 @@ class TestSignalFiles:
         write_signals_csv(tmp_path / "s.csv", T.DataSet(tuple(X)))
         row = ",".join(repr(float(p)) for v in X[0] for p in (v.real, v.imag))
         assert (tmp_path / "s.csv").read_text() == f"# d=4 n=1\n{row}\n"
+
+    def test_zero_length_signals_exit_2(self, tmp_path, capsys):
+        # a QHA1 header with d=0, N=5 and no samples
+        src, out = tmp_path / "d0.bin", tmp_path / "x.bin"
+        src.write_bytes(b"QHA1" + struct.pack("<II", 0, 5))
+        assert main(["convert", "--in", str(src), "--out", str(out)]) == 2
+        assert "at least one sample" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_csv_missing_header_rejected(self, tmp_path):
         path = tmp_path / "sig.csv"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -334,8 +336,11 @@ class TestHermitianOperator:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite(self, value):
-        with pytest.raises(ValueError):
-            T.HermitianOperator(np.full((4, 4), value))
+        # the ValueError is the only signal: no RuntimeWarning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                T.HermitianOperator(np.full((4, 4), value))
 
     def test_spreading_kept_read_only(self, rng):
         S = rand_state(rng, 3, 12)

@@ -53,6 +53,18 @@ class TestTfShift:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             T.tf_shift(rng.standard_normal((4, 4)), (1, 1))
+        with pytest.raises(ValueError, match="nonempty"):
+            T.tf_shift(np.zeros(0), (1, 1))
+
+    def test_matches_roll_formula_bit_for_bit(self, rng):
+        # exp(2 pi i x n / d) * f(x - m), evaluated as a phase times np.roll
+        for trial in range(200):
+            d = int(rng.integers(1, 40))
+            f = rand_signal(rng, d) if trial % 4 else rng.standard_normal(d)
+            m, n = (int(v) for v in rng.integers(-3 * d, 3 * d, size=2))
+            x = np.arange(d)
+            expect = np.exp(2j * np.pi * x * (n % d) / d) * np.roll(f, m % d)
+            assert np.array_equal(T.tf_shift(f, (m, n)).view(np.uint64), expect.view(np.uint64))
 
 
 class TestStft:
