@@ -154,7 +154,7 @@ def cmd_experiment(args) -> int:
     except (TypeError, ValueError) as e:
         raise SystemExit(f"error: bad config: {e}")
     table, report = run_experiment(config)
-    print(f"wrote {len(table.rows)} rows to {config.out}/{config.experiment}.csv")
+    print(f"wrote {len(table)} rows to {config.out}/{config.experiment}.csv")
     import numpy as np
 
     checks = [bool(v) for v in report.values() if isinstance(v, (bool, np.bool_))]

@@ -7,7 +7,6 @@ returns a DataSet whose squared norms sum to one.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import barthann
 
 from .operators import HermitianOperator, tensor_product
 from .tf_core import gaussian_window, tf_shift
@@ -68,6 +67,15 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _barthann(d: int) -> np.ndarray:
+    """The periodic Bartlett-Hann window, bit for bit scipy's
+    `barthann(d, sym=False)`, without importing `scipy.signal`."""
+    if d == 1:
+        return np.ones(1)
+    fac = np.abs(np.arange(d) / d - 0.5)
+    return 0.62 - 0.48 * fac + 0.38 * np.cos(2 * np.pi * fac)
+
+
 MAX_FREQ_REDRAWS = 10_000  # per signal; the default band needs about 1.1 draws
 
 
@@ -96,7 +104,7 @@ def gen_chirps(
         raise ValueError(f"invalid freq_band {freq_band}")
     rng = _rng(seed)
     t = np.arange(d) / d
-    env = barthann(d, sym=False)
+    env = _barthann(d)
     signals = []
     for _ in range(N):
         for _ in range(MAX_FREQ_REDRAWS + 1):

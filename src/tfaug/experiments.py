@@ -26,7 +26,7 @@ from .datasets import (
     gen_local_components,
     gen_random_tf_weighted,
 )
-from .io import float_row
+from .floattext import float_rows
 from .metrics import (
     _alc_and_augmented_entropy,
     _augmented_entropy,
@@ -133,8 +133,9 @@ class ResultTable:
     """Rectangular numeric table with a reproducibility metadata header.
 
     `add` appends a mixed row (a tuple of str, int, bool, None or float);
-    `add_grid` appends the rows of a real grid as lists of floats, which
-    `to_csv` formats in one pass with `io.float_row`.
+    `add_grid` appends a real grid as one float64 block, which `to_csv`
+    writes in one pass with `floattext.float_rows`.  `rows` holds the
+    mixed rows and the blocks in order; `len(table)` counts CSV rows.
     """
 
     def __init__(self, columns, metadata=None):
@@ -154,7 +155,11 @@ class ResultTable:
                 f"expected a real grid of {len(self.columns)} columns, "
                 f"got {G.dtype} of shape {G.shape}"
             )
-        self.rows.extend(G.astype(float).tolist())
+        if len(G):
+            self.rows.append(np.array(G, dtype=np.float64))
+
+    def __len__(self) -> int:
+        return sum(len(row) if isinstance(row, np.ndarray) else 1 for row in self.rows)
 
     @staticmethod
     def _fmt(v) -> str:
@@ -172,8 +177,8 @@ class ResultTable:
         lines = [f"# {k}={v}" for k, v in sorted(self.metadata.items())]
         lines.append(",".join(self.columns))
         for row in self.rows:
-            if type(row) is list:
-                lines.append(float_row(row))
+            if isinstance(row, np.ndarray):
+                lines.append(float_rows(row))
             else:
                 lines.append(",".join(self._fmt(v) for v in row))
         return "\n".join(lines) + "\n"

@@ -4,8 +4,10 @@ Binary format: little-endian, magic "QHA1", u32 d, u32 N, then N*d
 complex samples as (f64 real, f64 imag) pairs, which is the memory of the
 dataset's (N, d) complex128 matrix; it is written and read as one block.
 CSV alternative: one signal per row with 2d interleaved re,im columns and a
-header row "# d=<d> n=<N>".  Round trips are bit exact.  The readers reject
-a file that holds a NaN or an inf, or an empty signal.
+header row "# d=<d> n=<N>"; each value's text is `repr`, written for the
+whole matrix in one pass by `floattext.float_rows`.  Round trips are bit
+exact.  The readers reject a file that holds a NaN or an inf, or an empty
+signal.
 """
 
 import json
@@ -16,6 +18,7 @@ import numpy as np
 
 from .augmentation import Domain, full_domain, make_cells_domain, make_rect_domain
 from .datasets import DataSet
+from .floattext import float_rows
 from .tf_core import PhaseGrid
 
 MAGIC = b"QHA1"
@@ -25,12 +28,6 @@ def _check_finite(path, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: holds a non-finite sample (NaN or inf)")
     return values
-
-
-def float_row(values) -> str:
-    """Comma-joined `repr` of Python floats: the shortest text that reads back
-    bit exactly, the same as `repr(float(v))` per value (-0.0, nan, inf too)."""
-    return ",".join(map(repr, values))
 
 
 def write_signals_binary(path, dataset: DataSet) -> None:
@@ -59,10 +56,9 @@ def read_signals_binary(path) -> DataSet:
 def write_signals_csv(path, dataset: DataSet) -> None:
     N, d = dataset.signals.shape
     # the C-ordered complex128 rows viewed as re0, im0, re1, im1, ... floats
-    rows = dataset.signals.view(np.float64).tolist()
+    text = float_rows(dataset.signals.view(np.float64))
     with open(path, "w", newline="") as fh:
-        fh.write(f"# d={d} n={N}\n")
-        fh.writelines(float_row(row) + "\n" for row in rows)
+        fh.write(f"# d={d} n={N}\n{text}\n")
 
 
 def read_signals_csv(path) -> DataSet:

@@ -235,20 +235,37 @@ def _clamp_nonnegative(out) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _check_positive(A: np.ndarray) -> None:
+    """Raise unless the Hermitian matrix A has no eigenvalue below
+    -1e-10 max(|lambda_max|, 1).  A Cholesky factorization of A + tau I with
+    tau = 1e-10 max(1, max_i A_ii) accepts at a fraction of an eigensolve's
+    cost, and never more loosely, as max_i A_ii <= lambda_max; only when it
+    fails are the eigenvalues computed."""
+    if not len(A):
+        return
+    tau = 1e-10 * max(1.0, float(A.diagonal().real.max()))
+    try:
+        np.linalg.cholesky(A + tau * np.eye(len(A)))
+        return
+    except np.linalg.LinAlgError:
+        pass
+    w = np.linalg.eigvalsh(A)  # ascending
+    if w[0] < -1e-10 * max(abs(w[-1]), 1.0):
+        raise ValueError(f"operator is not positive: min eigenvalue {w[0]:.3e}")
+
+
 def total_correlation(S) -> np.ndarray:
     """Total correlation function S-tilde = S (x) S-check.
 
     For a data operator, S-tilde(z) = sum_{i,j} |V_{f_i} f_j (z)|^2.  It is
     the inverse symplectic DFT of |eta_S|^2 (one 2-d FFT).  S must be
-    positive: its eigenvalues are checked (eigvalsh) at 1e-10 of the largest.
+    positive: its eigenvalues may not fall below -1e-10 max(1, lambda_max).
     The O(N^2) double-STFT sum is the test oracle.
 
     Non-negative, integrates to tr(S)^2 = 1, and S-tilde(0) = tr(S^2).
     """
     A = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    w = np.linalg.eigvalsh(A.matrix)  # ascending
-    if w.size and w[0] < -1e-10 * max(abs(w[-1]), 1.0):
-        raise ValueError(f"operator is not positive: min eigenvalue {w[0]:.3e}")
+    _check_positive(A.matrix)
     return _clamp_nonnegative(_inverse_symplectic_fft(np.abs(spreading(A)) ** 2))
 
 

@@ -8,6 +8,7 @@ one grayscale PNG (stdlib zlib/struct/base64) with one pixel per cell.
 import base64
 import struct
 import zlib
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -22,7 +23,8 @@ def _scale(vals, lo, hi, out_lo, out_hi):
 
 
 def polyline_svg(series: dict, title: str = "", xlabel: str = "", ylabel: str = "") -> str:
-    """series maps a label to a list of (x, y) pairs."""
+    """series maps a label to a list of (x, y) pairs; the title, the axis
+    labels and the series labels are written as escaped XML text."""
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
     if not xs:
@@ -32,12 +34,14 @@ def polyline_svg(series: dict, title: str = "", xlabel: str = "", ylabel: str = 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" font-size="14">'
+        f"{escape(title)}</text>",
         f'<rect x="{_PAD}" y="{_PAD}" width="{_W - 2 * _PAD}" height="{_H - 2 * _PAD}" '
         'fill="none" stroke="#999"/>',
-        f'<text x="{_W / 2:.0f}" y="{_H - 8}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="{_W / 2:.0f}" y="{_H - 8}" text-anchor="middle" font-size="12">'
+        f"{escape(xlabel)}</text>",
         f'<text x="14" y="{_H / 2:.0f}" font-size="12" '
-        f'transform="rotate(-90 14 {_H / 2:.0f})" text-anchor="middle">{ylabel}</text>',
+        f'transform="rotate(-90 14 {_H / 2:.0f})" text-anchor="middle">{escape(ylabel)}</text>',
     ]
     for i, (label, pts) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
@@ -49,7 +53,7 @@ def polyline_svg(series: dict, title: str = "", xlabel: str = "", ylabel: str = 
         )
         parts.append(
             f'<text x="{_W - _PAD + 4}" y="{_PAD + 16 * i + 10}" font-size="11" '
-            f'fill="{color}">{label}</text>'
+            f'fill="{color}">{escape(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -76,8 +80,9 @@ def heatmap_svg(F: np.ndarray, title: str = "") -> str:
 
     The cells are one embedded PNG, one pixel per cell with shade
     int(255 * (1 - v)) for v = (F - min) / (max - min), first row at the
-    bottom, scaled up with nearest-neighbour rendering.  Raises ValueError
-    for a grid holding NaN or inf, or whose range overflows.
+    bottom, scaled up with nearest-neighbour rendering; the title is escaped
+    XML text.  Raises ValueError for a grid holding NaN or inf, or whose
+    range overflows.
     """
     F = np.asarray(F, dtype=float)
     if not np.isfinite(F).all():
@@ -97,7 +102,8 @@ def heatmap_svg(F: np.ndarray, title: str = "") -> str:
     return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{w + 30}" '
         f'viewBox="0 0 {w} {w + 30}">',
-        f'<text x="{w / 2:.0f}" y="18" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{w / 2:.0f}" y="18" text-anchor="middle" font-size="14">'
+        f"{escape(title)}</text>",
         f'<image x="0" y="30" width="{w}" height="{w}" preserveAspectRatio="none" '
         'image-rendering="optimizeSpeed" style="image-rendering:pixelated" '
         f'href="data:image/png;base64,{png}"/>',

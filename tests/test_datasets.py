@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.signal.windows import barthann
 
 import tfaug as T
+from tfaug.datasets import _barthann
 
 from conftest import rand_signal
 
@@ -87,6 +93,18 @@ class TestDataSetMatrix:
 
 
 class TestChirps:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 64, 128, 280, 512])
+    def test_envelope_is_scipy_barthann(self, d):
+        assert _barthann(d).tobytes() == barthann(d, sym=False).tobytes()
+
+    def test_import_leaves_scipy_signal_out(self):
+        # scipy.signal pulls in scipy.stats, .interpolate and .optimize
+        code = "import sys, tfaug.cli, tfaug.experiments; print('scipy.signal' in sys.modules)"
+        src = str(Path(T.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_single_chirp_normalized(self):
         ds = T.gen_chirps(1, 280, seed=0)
         assert abs(np.linalg.norm(ds.signals[0]) - 1.0) < 1e-12

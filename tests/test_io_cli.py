@@ -205,6 +205,14 @@ class TestCli:
         report = json.loads((tmp_path / "res" / "hermite_mix.report.json").read_text())
         assert report["config"]["experiment"] == "hermite_mix"
 
+    def test_experiment_counts_grid_rows(self, tmp_path, capsys):
+        out_dir = tmp_path / "res"
+        assert main(["experiment", "--experiment", "cohen_demo", "--d", "9",
+                     "--out", str(out_dir), "--no-svg"]) == 0
+        # two 9 x 9 grids, not two blocks
+        assert "wrote 18 rows" in capsys.readouterr().out
+        assert len((out_dir / "cohen_demo.csv").read_text().splitlines()) == 18 + 8
+
     def test_experiment_svg_emitted(self, tmp_path):
         out_dir = tmp_path / "res"
         main(["experiment", "--experiment", "hermite_mix", "--d", "64",
@@ -359,6 +367,16 @@ class TestResultTable:
         table.add_grid(np.array([[0.5, -0.0]]))
         table.add(None, False)
         assert table.to_csv().splitlines()[1:] == ["a,1", "0.5,-0.0", ",0"]
+
+    def test_len_counts_rows_and_grid_is_copied(self):
+        table = T.ResultTable(["x", "y"])
+        G = np.array([[0.5, -0.0], [1e16, 2.0]])
+        table.add("a", 1)
+        table.add_grid(G)
+        table.add_grid(np.zeros((0, 2)))
+        G[0, 0] = 7.0
+        assert len(table) == 3
+        assert table.to_csv() == "x,y\na,1\n0.5,-0.0\n1e+16,2.0\n"
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,), (1, 2, 4)])
     def test_add_grid_rejects_wrong_shape(self, shape):

@@ -262,6 +262,23 @@ class TestTotalCorrelation:
         with pytest.raises(ValueError):
             T.total_correlation(M)
 
+    @pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])
+    def test_positivity_tolerance(self, rng, lowest, accepted):
+        # trace one, lambda_max < 1: the bound is -1e-10 on either side of the
+        # Cholesky shortcut
+        d = 8
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        w = rng.random(d) + 0.5
+        w[0] = 0.0
+        w *= (1.0 - lowest) / w.sum()
+        w[0] = lowest
+        S = (V * w) @ V.conj().T
+        if accepted:
+            assert np.isfinite(T.total_correlation(S)).all()
+        else:
+            with pytest.raises(ValueError, match="not positive"):
+                T.total_correlation(S)
+
 
 class TestCohenClass:
     def test_rank_one_is_spectrogram(self, rng):

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from tfaug.svg import heatmap_svg
+from tfaug.svg import heatmap_svg, polyline_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -93,3 +93,12 @@ def test_overflowing_range_rejected():
     F[0, 0], F[1, 1] = -1e308, 1e308
     with pytest.raises(ValueError, match="overflows"):
         heatmap_svg(F)
+
+
+def test_text_is_escaped():
+    title = 'a<b & "c"'
+    root = ET.fromstring(heatmap_svg(np.eye(3), title))
+    assert root.find(f"{SVG}text").text == title
+    doc = polyline_svg({"x<y & z": [(0.0, 1.0), (1.0, 2.0)]}, title, "t > 0", "&amp;")
+    texts = [t.text for t in ET.fromstring(doc).iter(f"{SVG}text")]
+    assert texts == [title, "t > 0", "&amp;", "x<y & z"]
