@@ -103,24 +103,25 @@ def gen_chirps(
     if freq_band[1] < freq_band[0]:
         raise ValueError(f"invalid freq_band {freq_band}")
     rng = _rng(seed)
-    t = np.arange(d) / d
-    env = _barthann(d)
-    signals = []
-    for _ in range(N):
+    f0, rate, shift = np.empty(N), np.empty(N), np.empty(N, dtype=np.int64)
+    for i in range(N):
         for _ in range(MAX_FREQ_REDRAWS + 1):
-            f0 = rng.normal(freq_mean, freq_std)
-            if freq_band[0] <= f0 <= freq_band[1]:
+            f0[i] = rng.normal(freq_mean, freq_std)
+            if freq_band[0] <= f0[i] <= freq_band[1]:
                 break
         else:
             raise ValueError(
                 f"no base frequency in freq_band {freq_band} after "
                 f"{MAX_FREQ_REDRAWS} redraws from N({freq_mean}, {freq_std}^2)"
             )
-        rate = rng.uniform(lo, hi)
-        shift = rng.integers(0, d)
-        chirp = np.exp(2j * np.pi * (f0 * t + 0.5 * rate * t**2))
-        signals.append(chirp * np.roll(env, shift))
-    ds = DataSet(signals, seed, f"chirps(N={N},d={d})")
+        rate[i] = rng.uniform(lo, hi)
+        shift[i] = rng.integers(0, d)
+    t = np.arange(d) / d
+    # row i: the chirp times the envelope rotated by shift[i]
+    X = (np.exp(2j * np.pi * (f0[:, None] * t + 0.5 * rate[:, None] * t**2))
+         * _barthann(d)[(np.arange(d) - shift[:, None]) % d])
+    X.setflags(write=False)
+    ds = DataSet(X, seed, f"chirps(N={N},d={d})")
     return normalize_dataset(ds)
 
 

@@ -8,13 +8,18 @@ one grayscale PNG (stdlib zlib/struct/base64) with one pixel per cell.
 import base64
 import struct
 import zlib
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 _W, _H, _PAD = 640, 420, 50
 
 _COLORS = ["#1f6fb2", "#d1495b", "#2e8b57", "#8c5fb2", "#c98a1b", "#444444"]
+
+
+def escape(text: str) -> str:
+    """XML-escape `&`, `<` and `>` in text, as `xml.sax.saxutils.escape`
+    does, without its import of `urllib`, `http` and `ssl`."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):

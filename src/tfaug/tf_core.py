@@ -9,7 +9,6 @@ the continuous point z = (m/sqrt(d), n/sqrt(d)); both axes wrap modulo d.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
 
 
 @dataclass(frozen=True)
@@ -137,15 +136,53 @@ def hermite(d: int, n: int) -> np.ndarray:
     return _hermite_family(d, n)[:, n]
 
 
+def _hermite_polys(n_max: int, y: np.ndarray) -> np.ndarray:
+    """Rows 0..n_max: the physicists' Hermite polynomials H_n(y).
+
+    A port of scipy's `eval_hermite`, equal to it bit for bit: H_n(y) =
+    He_n(sqrt(2) y) 2^(n/2), with He_n from the backward loop y3, y2 = 0, 1;
+    y3, y2 = y2, x y2 - k y3 for k = n..2; He_n = x y2 - y3.  Every order runs
+    in one pass: row n joins the loop at k = n.  Like scipy, it does not warn
+    when a value overflows to inf or becomes NaN.
+    """
+    x = np.sqrt(2) * y
+    He = np.empty((n_max + 1, len(y)))
+    He[0] = 1.0
+    He[1:2] = x  # a slice: no row 1 when n_max = 0
+    y3, y2, xy2 = np.empty((3, n_max + 1, len(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_max, 1, -1):
+            y3[k], y2[k] = 0.0, 1.0
+            np.multiply(x, y2[k:], out=xy2[k:])
+            y3[k:] *= k
+            np.subtract(xy2[k:], y3[k:], out=y3[k:])
+            y3, y2 = y2, y3
+        np.multiply(x, y2[2:], out=He[2:])
+        He[2:] -= y3[2:]
+        He *= np.array([2.0 ** (n / 2) for n in range(n_max + 1)])[:, None]
+    return He
+
+
 def _hermite_family(d: int, n_max: int) -> np.ndarray:
-    """Columns 0..n_max of sampled, Gram-Schmidted Hermite functions."""
+    """Columns 0..n_max of sampled, Gram-Schmidted Hermite functions.
+
+    Raises ValueError when a sampled function is not finite: H_n overflows
+    float64 at the grid's edges for large n (from n = 199 at d = 280).
+    """
     if d < 4:
         raise ValueError(f"need d >= 4, got {d}")
     x = (np.arange(d) - d / 2) / np.sqrt(d)
-    cols = np.empty((d, n_max + 1), dtype=complex)
-    for k in range(n_max + 1):
-        h = eval_hermite(k, np.sqrt(2 * np.pi) * x) * np.exp(-np.pi * x**2)
-        cols[:, k] = h
+    H = _hermite_polys(n_max, np.sqrt(2 * np.pi) * x)
+    with np.errstate(invalid="ignore"):
+        H *= np.exp(-np.pi * x**2)
+    finite = np.isfinite(H).all(axis=1)
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise ValueError(
+            f"Hermite function of order {n} is not finite at d={d}: H_{n} overflows "
+            f"float64 at the grid's edges; orders 0..{n - 1} are finite"
+        )
+    cols = np.ascontiguousarray(H.T, dtype=complex)
     # QR gives exactly the Gram-Schmidt orthonormalization of the columns
     q, r = np.linalg.qr(cols)
     # fix signs so each function matches the raw sample's orientation

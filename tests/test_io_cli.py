@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,29 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["sandwich"]["pass"] is True
 
+    def test_runs_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes any import of scipy fail
+        code = """if True:
+            import sys
+            sys.modules["scipy"] = None
+            from tfaug.cli import main
+            sig, out = sys.argv[1] + "/s.bin", sys.argv[1] + "/res"
+            runs = [
+                ["gen", "--family", "chirps", "--n", "8", "--d", "64", "--seed", "1",
+                 "--out", sig],
+                ["metrics", "--in", sig, "--rect", "2.5", "2.5"],
+                ["bounds", "--in", sig, "--rect", "2.5", "2.5"],
+                ["experiment", "--experiment", "hermite_interp", "--d", "16",
+                 "--no-svg", "--out", out],
+            ]
+            print([main(argv) for argv in runs])
+        """
+        src = str(Path(T.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
+
     def test_bounds_json_keys(self, tmp_path, capsys):
         sig = str(tmp_path / "s.bin")
         main(["gen", "--family", "chirps", "--n", "8", "--d", "64",
@@ -293,6 +320,14 @@ class TestExperimentConfig:
     def test_unused_flag_exit_2(self, tmp_path):
         assert main(["experiment", "--experiment", "hermite_mix", "--trials", "7",
                      "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "hermite_mix.csv").exists()
+
+    def test_overflowing_hermite_order_exit_2(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"experiment": "hermite_mix", "d": 280, "n_max": 210}))
+        assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Hermite function of order 199 is not finite at d=280" in err
         assert not (tmp_path / "hermite_mix.csv").exists()
 
     def test_wrong_type_exit_2(self, tmp_path):

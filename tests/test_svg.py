@@ -2,11 +2,12 @@ import base64
 import struct
 import xml.etree.ElementTree as ET
 import zlib
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
 
-from tfaug.svg import heatmap_svg, polyline_svg
+from tfaug.svg import escape, heatmap_svg, polyline_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -102,3 +103,10 @@ def test_text_is_escaped():
     doc = polyline_svg({"x<y & z": [(0.0, 1.0), (1.0, 2.0)]}, title, "t > 0", "&amp;")
     texts = [t.text for t in ET.fromstring(doc).iter(f"{SVG}text")]
     assert texts == [title, "t > 0", "&amp;", "x<y & z"]
+
+
+@pytest.mark.parametrize(
+    "text", ["", "plain", "&<>\"'", "&amp; &lt;b&gt; <<&>>", "a>b<c&d 'e' \"f\""]
+)
+def test_escape_is_saxutils_escape(text):
+    assert escape(text) == saxutils.escape(text)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import eval_hermite
 
 import tfaug as T
-from tfaug.tf_core import grid_reflect
+from tfaug.tf_core import _hermite_polys, grid_reflect
 
 from conftest import rand_signal, rand_unit
 
@@ -135,6 +136,22 @@ class TestWindows:
     def test_order_out_of_range(self):
         with pytest.raises(ValueError):
             T.hermite(8, 8)
+
+    @pytest.mark.parametrize("d", [4, 5, 16, 128])
+    def test_hermite_polys_are_scipy_eval_hermite(self, d):
+        # scipy is the oracle: every order on the sampling grid, bit for bit
+        x = (np.arange(d) - d / 2) / np.sqrt(d)
+        y = np.sqrt(2 * np.pi) * x
+        H = _hermite_polys(d - 1, y)
+        for n in range(d):
+            assert H[n].tobytes() == eval_hermite(n, y).tobytes(), n
+
+    # at d=1024 the Gaussian underflows to 0 at the edges, where H_n is inf
+    @pytest.mark.parametrize("d, first", [(280, 199), (512, 179), (1024, 163)])
+    def test_overflowing_order_raises(self, d, first):
+        with pytest.raises(ValueError, match=f"order {first} is not finite at d={d}"):
+            T.hermite(d, first)
+        assert np.isfinite(T.hermite(d, first - 1)).all()
 
 
 class TestGridOps:
