@@ -68,8 +68,8 @@ class ExperimentConfig:
     missing `params` keys take the experiment's defaults, so the config, its
     hash and the report record the run that actually happens.  An unknown
     experiment, a field or key the experiment does not read, a value whose
-    type differs from the default's (for lists: the items' type), trials
-    below 1, noise_levels without 0.0 or n_eigs outside 1..d raises
+    type differs from the default's (for lists: the items' type), d or
+    trials below 1, noise_levels without 0.0 or n_eigs outside 1..d raises
     ValueError.
     """
 
@@ -102,14 +102,17 @@ class ExperimentConfig:
         for key in SIZE_FIELDS:
             setattr(self, key, given.get(key, defaults.get(key)))
         self.params = params
+        if self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if 0.0 not in params.get("noise_levels", [0.0]):
             # local_components compares the noiseless operator with the classical one
             raise ValueError(f"noise_levels must include 0.0, got {params['noise_levels']}")
-        if not 1 <= params.get("n_eigs", 1) <= self.d:
+        n_eigs = params.get("n_eigs", 1)
+        if not 1 <= n_eigs <= self.d:
             # local_components tabulates the n_eigs largest of d eigenvalues
-            raise ValueError(f"n_eigs must be between 1 and d = {self.d}, got {params['n_eigs']}")
+            raise ValueError(f"n_eigs must be between 1 and d = {self.d}, got {n_eigs}")
 
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""

@@ -11,6 +11,7 @@ signal.
 """
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -97,19 +98,50 @@ def domain_to_json(domain: Domain) -> str:
     return json.dumps(domain.to_json_dict(), sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_pair(value, item_ok) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(item_ok, value))
+
+
 def domain_from_json(text: str) -> Domain:
+    """The domain a `domain_to_json` object describes.
+
+    The object needs an integer d >= 1 and a shape ("rect", the default,
+    "full" or "cells"); a rectangle needs finite numeric width and height
+    and takes an optional [x, y] center, a cell set a list of [m, n]
+    integer pairs.  Anything else raises ValueError naming the field.
+    """
     spec = json.loads(text)
-    d = spec["d"]
+    if not isinstance(spec, dict):
+        raise ValueError(f"domain must be a JSON object, got {type(spec).__name__}")
+    d = spec.get("d")
+    if not (_is_int(d) and d >= 1):
+        raise ValueError(f"domain field 'd' must be an integer >= 1, got {d!r}")
     shape = spec.get("shape", "rect")
     if shape == "rect":
-        return make_rect_domain(
-            PhaseGrid(d),
-            spec["width"],
-            spec["height"],
-            tuple(spec.get("center", (0.0, 0.0))),
-        )
+        for key in ("width", "height"):
+            value = spec.get(key)
+            if not _is_number(value):
+                raise ValueError(f"domain field {key!r} must be a finite number, got {value!r}")
+        center = spec.get("center", [0.0, 0.0])
+        if not _is_pair(center, _is_number):
+            raise ValueError(f"domain field 'center' must be two finite numbers, got {center!r}")
+        return make_rect_domain(PhaseGrid(d), spec["width"], spec["height"], tuple(center))
     if shape == "full":
         return full_domain(d)
     if shape == "cells":
-        return make_cells_domain(PhaseGrid(d), spec["cells"])
+        cells = spec.get("cells")
+        bad = [c for c in cells if not _is_pair(c, _is_int)] if isinstance(cells, list) else [cells]
+        if bad:
+            raise ValueError(
+                f"domain field 'cells' must be a list of [m, n] integer pairs, got {bad[0]!r}"
+            )
+        return make_cells_domain(PhaseGrid(d), cells)
     raise ValueError(f"unknown domain shape {shape!r}")

@@ -16,6 +16,7 @@ bounds at 1e-3 relative.
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +42,17 @@ def _nonnegative_spectrum(w: np.ndarray, clamp_tolerance: float = 1e-8) -> np.nd
 
 
 def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
-    """Eigenvalues, descending; eigenvectors are not computed."""
+    """Eigenvalues, descending; eigenvectors are not computed.
+
+    A data operator S = X^T conj(X) with N < d signals has at most N nonzero
+    eigenvalues, those of the N x N Gram matrix conj(X) X^T; they are solved
+    there, checked and clamped as S's would be, and padded with d - N zeros.
+    """
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
+    X = A._factor
+    if X is not None and len(X) < A.d:
+        w = _nonnegative_spectrum(np.linalg.eigvalsh(X.conj() @ X.T)[::-1], clamp_tolerance)
+        return np.concatenate([w, np.zeros(A.d - len(X))])
     return _nonnegative_spectrum(np.linalg.eigvalsh(A.matrix)[::-1], clamp_tolerance)
 
 
@@ -232,7 +242,7 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     def phi(x):
         return x - x * x
 
-    symbol = np.clip(op_op_convolve(loc.matrix, S).real, 0.0, 1.0)
+    symbol = np.clip(op_op_convolve(loc, S).real, 0.0, 1.0)
     int_phi_symbol = grid_integrate(phi(symbol))
     tr_phi_A = float(np.sum(phi(np.clip(w, 0.0, 1.0))))
     w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S))
@@ -256,12 +266,16 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     ]
 
 
+@lru_cache(maxsize=8)
 def _centered_distance_grid(d: int) -> np.ndarray:
-    """Minimal cyclic Euclidean distance |z| in phase units."""
+    """Minimal cyclic Euclidean distance |z| in phase units; built once per d
+    (the most recent 8 sizes are kept) and read-only."""
     grid = PhaseGrid(d)
     k = grid.signed_indices() / math.sqrt(d)
     mm, nn = np.meshgrid(k, k, indexing="ij")
-    return np.hypot(mm, nn)
+    dist = np.hypot(mm, nn)
+    dist.setflags(write=False)
+    return dist
 
 
 def entropy_covariance_check(S_tilde: np.ndarray) -> CheckResult:

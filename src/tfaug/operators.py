@@ -17,7 +17,7 @@ operator share a single one.  The direct sums are test oracles.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,22 +26,30 @@ from .tf_core import grid_reflect
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A finite d x d Hermitian matrix, symmetrized on construction."""
+    """A finite d x d Hermitian matrix, symmetrized on construction.
+
+    The symmetrized matrix is exactly Hermitian, so it is its own adjoint.
+    A data operator S = X^T conj(X) also keeps its (N, d) factor X in
+    `_factor`; only `data_operator` sets it, so a kept factor always
+    belongs to the matrix.
+    """
 
     matrix: np.ndarray
     hermiticity_defect: float = field(init=False)
+    _factor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"operator must be square, got shape {A.shape}")
+        AH = A.conj().T
         # a NaN or inf entry makes the defect NaN, which fails the test below too
         with np.errstate(invalid="ignore"):
-            defect = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
+            defect = float(np.max(np.abs(A - AH))) if A.size else 0.0
         scale = float(np.max(np.abs(A))) if A.size else 0.0
         if not defect <= 1e-10 * max(scale, 1.0):
             raise ValueError(f"matrix is not finite and Hermitian: defect {defect:.3e}")
-        sym = 0.5 * (A + A.conj().T)
+        sym = 0.5 * (A + AH)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
         object.__setattr__(self, "hermiticity_defect", defect)
@@ -84,14 +92,21 @@ def tensor_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def data_operator(dataset) -> HermitianOperator:
-    """S = sum_i f_i (x) f_i for a normalized dataset (trace 1)."""
+    """S = sum_i f_i (x) f_i for a normalized dataset (trace 1).
+
+    S keeps the dataset's read-only (N, d) signal matrix X as its factor,
+    uncopied, so spectral functions can solve the N x N Gram matrix
+    conj(X) X^T, which has the same nonzero eigenvalues, when N < d.
+    """
     X = dataset.signals  # (N, d)
     norms_sq = float(np.sum(np.abs(X) ** 2))
     if abs(norms_sq - 1.0) > 1e-8:
         raise ValueError(
             f"dataset is not normalized: sum of squared norms is {norms_sq:.6g}"
         )
-    return HermitianOperator(X.T @ X.conj())
+    S = HermitianOperator(X.T @ X.conj())
+    object.__setattr__(S, "_factor", X)
+    return S
 
 
 def spectral_decompose(A: HermitianOperator, clamp_tolerance: float = 1e-10) -> SpectralDecomposition:
@@ -142,10 +157,16 @@ def operator_parity(S) -> np.ndarray:
     return np.roll(np.flip(M, axis=(0, 1)), 1, axis=(0, 1))
 
 
+@lru_cache(maxsize=8)
 def _diagonal_index(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the generalized diagonals: M[idx][u, x] = M[x, x - u mod d]."""
+    """Index of the generalized diagonals: M[idx][u, x] = M[x, x - u mod d].
+
+    Built once per d (the most recent 8 sizes are kept) and read-only.
+    """
     x = np.arange(d)
-    return np.broadcast_to(x, (d, d)), (x[None, :] - x[:, None]) % d
+    cols = (x[None, :] - x[:, None]) % d
+    cols.setflags(write=False)
+    return np.broadcast_to(x, (d, d)), cols
 
 
 def spreading(S) -> np.ndarray:
@@ -205,16 +226,18 @@ def op_op_convolve(S, T) -> np.ndarray:
     (S (x) T)(z) = tr(S alpha_z(T-check)).  Real for Hermitian inputs,
     non-negative for positive inputs, and integrates to tr(S) tr(T).
     Evaluated as the inverse symplectic DFT of conj(eta_{S^*}) eta_{T-check},
-    where eta_{T-check}(z) = eta_T(-z).
+    where eta_{T-check}(z) = eta_T(-z).  A HermitianOperator operand is its
+    own adjoint, so its kept spreading function serves as eta_{S^*} and it
+    is not tested for hermiticity again; a raw matrix is.
     """
     A, B = _as_matrix(S), _as_matrix(T)
     d = A.shape[0]
     if B.shape[0] != d:
         raise ValueError(f"dimension mismatch: {d} vs {B.shape[0]}")
-    out = _inverse_symplectic_fft(
-        np.conj(spreading(A.conj().T)) * grid_reflect(spreading(T))
-    )
-    if _is_hermitian(A) and _is_hermitian(B):
+    typed_S, typed_T = isinstance(S, HermitianOperator), isinstance(T, HermitianOperator)
+    eta_adjoint = spreading(S) if typed_S else spreading(A.conj().T)
+    out = _inverse_symplectic_fft(np.conj(eta_adjoint) * grid_reflect(spreading(T)))
+    if (typed_S or _is_hermitian(A)) and (typed_T or _is_hermitian(B)):
         out = np.ascontiguousarray(out.real)
     return out
 

@@ -129,7 +129,9 @@ def hermite(d: int, n: int) -> np.ndarray:
 
     Samples H_n(sqrt(2 pi) x) exp(-pi x^2) on the centered grid, then
     Gram-Schmidts against orders 0..n-1 so the family is exactly
-    orthonormal in C^d.
+    orthonormal in C^d.  High orders overflow float64 in H_n at the grid's
+    edge and raise ValueError: from n = 199 at d = 280 and from n = 179 at
+    d = 512, so not every n < d is available for large d.
     """
     if not 0 <= n < d:
         raise ValueError(f"order must satisfy 0 <= n < d, got n={n}, d={d}")

@@ -129,6 +129,25 @@ class TestDomainJson:
         assert np.array_equal(back.mask, dom.mask)
 
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"d": 16, "width": "2", "height": 1.0}, "'width'"),
+        ({"d": 16, "width": 1.0, "height": True}, "'height'"),
+        ({"d": 16, "width": float("nan"), "height": 1.0}, "'width'"),
+        ([1, 2], "JSON object"),
+        ({"d": 16, "shape": "cells", "cells": [[1.5, 2]]}, "'cells'"),
+        ({"d": 16, "shape": "cells", "cells": [[1e9, 2]]}, "'cells'"),
+        ({"d": 16, "shape": "cells", "cells": [[1, 2, 3]]}, "'cells'"),
+        ({"d": 16, "shape": "cells"}, "'cells'"),
+        ({"d": 16.0, "shape": "full"}, "'d'"),
+        ({"d": 0, "shape": "full"}, "'d'"),
+        ({"shape": "full"}, "'d'"),
+        ({"d": 16, "width": 1.0, "height": 1.0, "center": [0.0]}, "'center'"),
+    ])
+    def test_malformed_rejected(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            T.domain_from_json(json.dumps(spec))
+
+
 class TestCli:
     def test_gen_metrics_pipeline(self, tmp_path, capsys):
         sig = str(tmp_path / "s.bin")
@@ -266,6 +285,19 @@ class TestCli:
         assert main(["metrics", "--in", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"d": 16, "width": "2", "height": 1.0}, "domain field 'width' must be a finite number"),
+        ([1, 2], "domain must be a JSON object"),
+        ({"d": 16, "shape": "cells", "cells": [[1.5, 2]]},
+         "domain field 'cells' must be a list of [m, n] integer pairs, got [1.5, 2]"),
+    ])
+    def test_malformed_domain_file_exit_2(self, rng, tmp_path, capsys, spec, message):
+        sig, dom = tmp_path / "s.bin", tmp_path / "dom.json"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        dom.write_text(json.dumps(spec))
+        assert main(["metrics", "--in", str(sig), "--domain", str(dom)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_experiment_exit_2(self, capsys):
         assert main(["experiment", "--experiment", "nope"]) == 2
 
@@ -348,6 +380,17 @@ class TestExperimentConfig:
         assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
         assert "bad config: noise_levels must include 0.0" in capsys.readouterr().err
         assert not (tmp_path / "local_components.csv").exists()
+
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    def test_d_below_one_exit_2(self, tmp_path, capsys, d):
+        assert main(["experiment", "--experiment", "gauss_alc", "--d", d,
+                     "--out", str(tmp_path), "--no-svg"]) == 2
+        assert f"bad config: d must be at least 1, got {d}" in capsys.readouterr().err
+        assert not (tmp_path / "gauss_alc.csv").exists()
+
+    def test_n_eigs_message_names_tested_value(self):
+        with pytest.raises(ValueError, match="n_eigs must be between 1 and d = 16, got 0"):
+            T.ExperimentConfig("local_components", d=16, params={"n_eigs": 0})
 
     def test_n_eigs_above_d_exit_2(self, tmp_path, capsys):
         assert main(["experiment", "--experiment", "local_components", "--d", "32",

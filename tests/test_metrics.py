@@ -63,6 +63,34 @@ class TestVonNeumannEntropy:
                 T.von_neumann_entropy(loc.matrix / 4.0)
 
 
+class TestDataOperatorSpectrum:
+    @pytest.mark.parametrize("n, d, side", [(3, 16, 3), (16, 16, 16), (20, 16, 16)])
+    def test_smaller_side_solved(self, rng, monkeypatch, n, d, side):
+        # N < d solves the N x N Gram matrix, N >= d the d x d operator
+        S = rand_state(rng, n, d)
+        w = np.linalg.eigvalsh(S.matrix)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(M):
+            shapes.append(M.shape)
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        spectrum = tfaug.metrics._positive_eigenvalues(S)
+        assert shapes == [(side, side)] and spectrum.shape == (d,)
+        assert np.max(np.abs(spectrum - np.maximum(w[::-1], 0.0))) < 1e-12
+
+    def test_gram_route_checks_trace(self, rng):
+        # the Gram spectrum goes through the same trace check as S's
+        S = rand_state(rng, 3, 16)
+        scaled = T.HermitianOperator(2.0 * S.matrix)
+        object.__setattr__(scaled, "_factor", np.sqrt(2.0) * S._factor)
+        assert tfaug.metrics._positive_eigenvalues(scaled).sum() == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="trace"):
+            T.von_neumann_entropy(scaled)
+
+
 class TestEffectiveDimension:
     def test_rank_one(self, rng):
         f = rand_unit(rng, 8)
@@ -272,6 +300,35 @@ class TestCheckBounds:
         assert calls["total_correlation"] == 1
         assert calls["fn_op_convolve"] == 2
         assert calls["eigensolves"] <= 4
+
+    def test_spreads_S_once_and_L_once(self, rng, monkeypatch):
+        spread = []
+        spreading = tfaug.operators.spreading
+
+        def recorded(M):
+            if not isinstance(M, T.HermitianOperator):
+                spread.append(M)  # a transform computed, not a kept one read
+            return spreading(M)
+
+        def refuse(M):
+            raise AssertionError("typed operand tested for hermiticity again")
+
+        monkeypatch.setattr(tfaug.operators, "spreading", recorded)
+        monkeypatch.setattr(tfaug.operators, "_is_hermitian", refuse)
+        d = 16
+        S, dom = rand_state(rng, 3, d), T.make_rect_domain(d, 2.0, 1.5)
+        T.check_bounds(S, dom)
+        assert len(spread) == 2 and spread[0] is S.matrix
+        L = T.mixed_state_localization(dom, S)  # builds L, spreads nothing
+        assert np.array_equal(spread[1], L.matrix)
+
+    def test_distance_grid_built_once_per_d(self):
+        grid = tfaug.metrics._centered_distance_grid
+        grid.cache_clear()
+        assert grid(12) is grid(12) and not grid(12).flags.writeable
+        assert grid.cache_info().misses == 1
+        assert grid(12)[0, 1] == pytest.approx(1 / math.sqrt(12))
+        assert grid(12)[11, 11] == pytest.approx(math.sqrt(2 / 12))
 
     def test_results(self, rng):
         d = 16

@@ -76,6 +76,11 @@ class TestDataOperator:
     def test_trace_one(self, rng):
         assert abs(rand_state(rng, 4, 16).trace - 1.0) < 1e-10
 
+    def test_keeps_its_factor_uncopied(self, rng):
+        ds = rand_dataset(rng, 5, 8)
+        assert T.data_operator(ds)._factor is ds.signals
+        assert T.HermitianOperator(T.data_operator(ds).matrix)._factor is None
+
 
 class TestSpectralDecompose:
     def test_scaled_identity(self):
@@ -232,6 +237,30 @@ class TestOpOpConvolve:
         bound = trace_norm(S.matrix) * float(np.linalg.norm(Q.matrix, 2))
         assert np.max(np.abs(conv)) <= bound + 1e-9
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16])
+    def test_typed_and_raw_operands_agree_bitwise(self, rng, d):
+        # a typed operand is exactly Hermitian, so its kept spreading
+        # function stands in for that of its adjoint without changing a bit
+        S, Q = rand_state(rng, 3, d), rand_state(rng, 2, d)
+        R = T.fn_op_convolve(rng.standard_normal((d, d)), Q)
+        for A, B in [(S, Q), (R, S), (S, R), (R, R)]:
+            raw = T.op_op_convolve(A.matrix.copy(), B.matrix.copy())
+            assert raw.dtype == float
+            for typed in (T.op_op_convolve(A, B), T.op_op_convolve(A, B.matrix.copy()),
+                          T.op_op_convolve(A.matrix.copy(), B)):
+                assert typed.dtype == float and typed.tobytes() == raw.tobytes()
+
+    def test_typed_operands_not_tested_again(self, rng, monkeypatch):
+        def refuse(M):
+            raise AssertionError("typed operand tested for hermiticity again")
+
+        S, Q = rand_state(rng, 3, 8), rand_state(rng, 2, 8)
+        expected = T.op_op_convolve(S, Q)
+        monkeypatch.setattr(tfaug.operators, "_is_hermitian", refuse)
+        assert np.array_equal(T.op_op_convolve(S, Q), expected)
+        with pytest.raises(AssertionError):
+            T.op_op_convolve(S.matrix, Q)
+
 
 class TestTotalCorrelation:
     def test_rank_one(self, rng):
@@ -358,6 +387,26 @@ class TestHermitianOperator:
             warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 T.HermitianOperator(np.full((4, 4), value))
+
+    def test_factor_is_not_a_keyword(self, rng):
+        # only data_operator may attach a factor, so it always belongs to S
+        ds = rand_dataset(rng, 3, 8)
+        M = T.data_operator(ds).matrix
+        for key in ("factor", "_factor"):
+            with pytest.raises(TypeError):
+                T.HermitianOperator(M, **{key: ds.signals})
+
+    def test_diagonal_index_built_once_per_d(self):
+        tfaug.operators._diagonal_index.cache_clear()
+        rows, cols = tfaug.operators._diagonal_index(12)
+        again = tfaug.operators._diagonal_index(12)
+        assert again[0] is rows and again[1] is cols
+        tfaug.operators._diagonal_index(12)
+        assert not rows.flags.writeable and not cols.flags.writeable
+        info = tfaug.operators._diagonal_index.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        M = np.arange(144.0).reshape(12, 12)
+        assert all(M[rows, cols][u, x] == M[x, (x - u) % 12] for u in range(12) for x in range(12))
 
     def test_spreading_kept_read_only(self, rng):
         S = rand_state(rng, 3, 12)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import tfaug as T
-from tfaug.metrics import _alc_and_augmented_entropy
+from tfaug.metrics import _alc_and_augmented_entropy, _spectral_entropy
 
 from test_operators import fn_op_direct, op_op_direct
 
@@ -125,3 +125,14 @@ def test_alc_from_localization_matches_alc(seed, d, n):
     assert abs(a - T.alc(T.total_correlation(S), dom)) < 1e-12
     loc = T.mixed_state_localization(dom, S)
     assert abs(H_aug - T.von_neumann_entropy(loc.matrix / dom.measure)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, d=st.integers(min_value=2, max_value=24), data=st.data())
+def test_data_operator_entropy_matches_full_spectrum(seed, d, data):
+    # N < d takes the N x N Gram route, N >= d the d x d operator; both give
+    # the entropy of eigvalsh(S) well inside the 1e-7 entropy tolerance
+    n = data.draw(st.sampled_from([1, d - 1, d, d + 1, 2 * d]))
+    S = T.data_operator(_dataset(np.random.default_rng(seed), n, d))
+    expected = _spectral_entropy(np.linalg.eigvalsh(S.matrix))
+    assert abs(T.von_neumann_entropy(S) - expected) < 1e-12
