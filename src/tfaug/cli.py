@@ -40,7 +40,7 @@ GENERATORS = {
 def _load_domain(args):
     if args.domain:
         try:
-            return domain_from_json(Path(args.domain).read_text())
+            return domain_from_json(Path(args.domain).read_text(), args.d)
         except (OSError, ValueError, KeyError) as e:
             raise SystemExit(f"error: cannot read domain {args.domain}: {e}")
     if args.rect:

@@ -103,27 +103,36 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _is_pair(value, item_ok) -> bool:
     return isinstance(value, list) and len(value) == 2 and all(map(item_ok, value))
 
 
-def domain_from_json(text: str) -> Domain:
+def domain_from_json(text: str, d: int | None = None) -> Domain:
     """The domain a `domain_to_json` object describes.
 
     The object needs an integer d >= 1 and a shape ("rect", the default,
     "full" or "cells"); a rectangle needs finite numeric width and height
     and takes an optional [x, y] center, a cell set a list of [m, n]
-    integer pairs.  Anything else raises ValueError naming the field.
+    integer pairs.  Given d, the object's d must equal it; that is checked
+    before any d x d grid is built.  Anything else raises ValueError naming
+    the field.
     """
     spec = json.loads(text)
     if not isinstance(spec, dict):
         raise ValueError(f"domain must be a JSON object, got {type(spec).__name__}")
-    d = spec.get("d")
+    expected, d = d, spec.get("d")
     if not (_is_int(d) and d >= 1):
         raise ValueError(f"domain field 'd' must be an integer >= 1, got {d!r}")
+    if expected is not None and d != expected:
+        raise ValueError(f"domain field 'd' is {d}, but the signals have d = {expected}")
     shape = spec.get("shape", "rect")
     if shape == "rect":
         for key in ("width", "height"):

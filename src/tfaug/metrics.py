@@ -45,12 +45,15 @@ def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
     """Eigenvalues, descending; eigenvectors are not computed.
 
     A data operator S = X^T conj(X) with N < d signals has at most N nonzero
-    eigenvalues, those of the N x N Gram matrix conj(X) X^T; they are solved
-    there, checked and clamped as S's would be, and padded with d - N zeros.
+    eigenvalues, those of the N x N Gram matrix conj(X) X^T.  Forming that
+    matrix costs O(N^2 d), so it is solved instead of S only for N <= 3d/4
+    (at d = 128 and 280 with one BLAS thread it took at most 0.72 of S's
+    time there, and about as long at N = 0.9 d); the Gram eigenvalues are
+    checked and clamped as S's would be, and padded with d - N zeros.
     """
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
     X = A._factor
-    if X is not None and len(X) < A.d:
+    if X is not None and 4 * len(X) <= 3 * A.d:
         w = _nonnegative_spectrum(np.linalg.eigvalsh(X.conj() @ X.T)[::-1], clamp_tolerance)
         return np.concatenate([w, np.zeros(A.d - len(X))])
     return _nonnegative_spectrum(np.linalg.eigvalsh(A.matrix)[::-1], clamp_tolerance)

@@ -30,8 +30,8 @@ class HermitianOperator:
 
     The symmetrized matrix is exactly Hermitian, so it is its own adjoint.
     A data operator S = X^T conj(X) also keeps its (N, d) factor X in
-    `_factor`; only `data_operator` sets it, so a kept factor always
-    belongs to the matrix.
+    `_factor`.  Only `data_operator` sets it, and only to a read-only X
+    whose memory nothing writable shares, so the factor stays the matrix's.
     """
 
     matrix: np.ndarray
@@ -91,14 +91,29 @@ def tensor_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.outer(f, g.conj())
 
 
+def _is_frozen(X: np.ndarray) -> bool:
+    """True when X and every array under it is read-only, down to memory
+    that X's chain owns or an immutable bytes object."""
+    while isinstance(X, np.ndarray):
+        if X.flags.writeable:
+            return False
+        X = X.base
+    return X is None or isinstance(X, bytes)
+
+
 def data_operator(dataset) -> HermitianOperator:
     """S = sum_i f_i (x) f_i for a normalized dataset (trace 1).
 
-    S keeps the dataset's read-only (N, d) signal matrix X as its factor,
-    uncopied, so spectral functions can solve the N x N Gram matrix
-    conj(X) X^T, which has the same nonzero eigenvalues, when N < d.
+    S keeps the dataset's read-only (N, d) signal matrix X as its factor, so
+    spectral functions can solve the N x N Gram matrix conj(X) X^T, which has
+    the same nonzero eigenvalues, when N < d.  X is kept uncopied when no
+    writable array or buffer shares its memory, and copied otherwise, so a
+    later write cannot make the factor and the matrix disagree.
     """
     X = dataset.signals  # (N, d)
+    if not _is_frozen(X):
+        X = X.copy()
+        X.setflags(write=False)
     norms_sq = float(np.sum(np.abs(X) ** 2))
     if abs(norms_sq - 1.0) > 1e-8:
         raise ValueError(

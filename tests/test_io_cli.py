@@ -142,10 +142,23 @@ class TestDomainJson:
         ({"d": 0, "shape": "full"}, "'d'"),
         ({"shape": "full"}, "'d'"),
         ({"d": 16, "width": 1.0, "height": 1.0, "center": [0.0]}, "'center'"),
+        # ints too large for a float
+        ({"d": 16, "width": 10**400, "height": 1.0}, "'width'"),
+        ({"d": 16, "width": 1.0, "height": 1.0, "center": [10**400, 0]}, "'center'"),
     ])
     def test_malformed_rejected(self, spec, field):
         with pytest.raises(ValueError, match=field):
             T.domain_from_json(json.dumps(spec))
+
+    def test_d_checked_before_the_grid_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(tfaug.io, "full_domain", refuse)
+        spec = json.dumps({"d": 10**400, "shape": "full"})
+        with pytest.raises(ValueError, match="'d' is 1000"):
+            T.domain_from_json(spec, 16)
+        assert T.domain_from_json(json.dumps({"d": 16, "shape": "cells", "cells": [[1, 2]]}), 16).d == 16
 
 
 class TestCli:
@@ -290,6 +303,7 @@ class TestCli:
         ([1, 2], "domain must be a JSON object"),
         ({"d": 16, "shape": "cells", "cells": [[1.5, 2]]},
          "domain field 'cells' must be a list of [m, n] integer pairs, got [1.5, 2]"),
+        ({"d": 16, "width": 10**400, "height": 1.0}, "domain field 'width' must be a finite number"),
     ])
     def test_malformed_domain_file_exit_2(self, rng, tmp_path, capsys, spec, message):
         sig, dom = tmp_path / "s.bin", tmp_path / "dom.json"
@@ -297,6 +311,17 @@ class TestCli:
         dom.write_text(json.dumps(spec))
         assert main(["metrics", "--in", str(sig), "--domain", str(dom)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["metrics", "augment", "bounds"])
+    def test_domain_for_another_d_exit_2(self, rng, tmp_path, capsys, cmd):
+        # a d=16 rectangle names other cells on a d=64 grid: every command refuses it
+        sig, dom, out = tmp_path / "s.bin", tmp_path / "dom.json", tmp_path / "aug.bin"
+        T.write_signals(sig, rand_dataset(rng, 3, 64))
+        dom.write_text(T.domain_to_json(T.make_rect_domain(16, 1.0, 1.0)))
+        argv = [cmd, "--in", str(sig), "--domain", str(dom)]
+        assert main(argv + (["--out", str(out)] if cmd == "augment" else [])) == 2
+        assert "domain field 'd' is 16, but the signals have d = 64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_experiment_exit_2(self, capsys):
         assert main(["experiment", "--experiment", "nope"]) == 2

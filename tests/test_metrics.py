@@ -64,9 +64,11 @@ class TestVonNeumannEntropy:
 
 
 class TestDataOperatorSpectrum:
-    @pytest.mark.parametrize("n, d, side", [(3, 16, 3), (16, 16, 16), (20, 16, 16)])
+    @pytest.mark.parametrize("n, d, side", [
+        (3, 16, 3), (12, 16, 12), (13, 16, 16), (16, 16, 16), (20, 16, 16),
+    ])
     def test_smaller_side_solved(self, rng, monkeypatch, n, d, side):
-        # N < d solves the N x N Gram matrix, N >= d the d x d operator
+        # N <= 3d/4 solves the N x N Gram matrix, larger N the d x d operator
         S = rand_state(rng, n, d)
         w = np.linalg.eigvalsh(S.matrix)
         shapes = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tfaug as T
+import tfaug.metrics
 import tfaug.operators
 from tfaug.operators import operator_parity, operator_shift, parity, spreading
 
@@ -80,6 +81,27 @@ class TestDataOperator:
         ds = rand_dataset(rng, 5, 8)
         assert T.data_operator(ds)._factor is ds.signals
         assert T.HermitianOperator(T.data_operator(ds).matrix)._factor is None
+
+    def test_keeps_a_read_file_uncopied(self, rng, tmp_path):
+        # the signals of a binary file are read-only views of immutable bytes
+        T.write_signals(tmp_path / "s.bin", rand_dataset(rng, 5, 8))
+        ds = T.read_signals(tmp_path / "s.bin")
+        assert T.data_operator(ds)._factor is ds.signals
+
+    def test_copies_a_factor_that_a_writable_base_shares(self, rng):
+        # DataSet keeps a read-only view uncopied; a write to its base must
+        # not reach the factor, or the Gram spectrum would be another S's
+        base = rand_dataset(rng, 3, 16).as_matrix()
+        view = base.view()
+        view.setflags(write=False)
+        ds = T.DataSet(view)
+        assert ds.signals is view
+        S = T.data_operator(ds)
+        assert S._factor is not view and not S._factor.flags.writeable
+        assert np.array_equal(S._factor, view)
+        base[0] *= 3.0
+        w = np.linalg.eigvalsh(S.matrix)[::-1]
+        assert np.max(np.abs(tfaug.metrics._positive_eigenvalues(S) - w)) < 1e-12
 
 
 class TestSpectralDecompose:
