@@ -41,14 +41,12 @@ from .metrics import (
 )
 from .operators import (
     HermitianOperator,
-    SpectralDecomposition,
     cohen_class,
     conv_layer_identity,
     data_operator,
     fn_op_convolve,
     op_op_convolve,
     operator_shift,
-    spectral_decompose,
     tensor_product,
     total_correlation,
 )

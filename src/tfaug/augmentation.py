@@ -12,11 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import DataSet
-from .operators import (
-    HermitianOperator,
-    fn_op_convolve,
-    spectral_decompose,
-)
+from .operators import HermitianOperator, _nonnegative_spectrum, fn_op_convolve
 from .tf_core import PhaseGrid, _tf_shifts
 
 
@@ -150,11 +146,11 @@ def finite_rank_approx(domain: Domain, S):
     T_Omega is sum_{k <= A}(1 - lambda_k) + sum_{k > A} lambda_k.
     """
     loc = mixed_state_localization(domain, S)
-    dec = spectral_decompose(loc)
+    w, V = np.linalg.eigh(loc.matrix)
+    w = _nonnegative_spectrum(w[::-1])
     A_omega = int(math.ceil(domain.measure - 1e-12))
-    w = dec.eigenvalues
-    V = dec.eigenvectors[:, :A_omega]
-    T = HermitianOperator(V @ V.conj().T)
+    V = V[:, ::-1][:, :A_omega]
+    T = HermitianOperator._built(V @ V.conj().T)
     err = float(np.sum(1.0 - w[:A_omega]) + np.sum(w[A_omega:]))
     return T, A_omega, err
 

@@ -31,13 +31,13 @@ from .metrics import (
     _alc_and_augmented_entropy,
     _augmented_entropy,
     _checked_total_correlation,
-    _nonnegative_spectrum,
     _spectral_entropy,
     check_bounds,
     von_neumann_entropy,
 )
 from .operators import (
     HermitianOperator,
+    _nonnegative_spectrum,
     cohen_class,
     data_operator,
     tensor_product,

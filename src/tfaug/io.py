@@ -66,7 +66,10 @@ def read_signals_csv(path) -> DataSet:
     lines = Path(path).read_text().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing '# d=... n=...' header")
-    header = dict(tok.split("=") for tok in lines[0].lstrip("# ").split())
+    header = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
+    for key in ("d", "n"):
+        if not header.get(key, "").isdecimal():
+            raise ValueError(f"{path}: header {lines[0]!r} lacks a '{key}=<count>' field")
     d, N = int(header["d"]), int(header["n"])
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != N:

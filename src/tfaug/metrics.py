@@ -23,22 +23,12 @@ import numpy as np
 from .augmentation import Domain, mixed_state_localization
 from .operators import (
     HermitianOperator,
+    _nonnegative_spectrum,
     fn_op_convolve,
     op_op_convolve,
     total_correlation,
 )
 from .tf_core import PhaseGrid, grid_convolve, grid_integrate
-
-
-def _nonnegative_spectrum(w: np.ndarray, clamp_tolerance: float = 1e-8) -> np.ndarray:
-    """Descending eigenvalues w with roundoff negatives set to zero.
-
-    Raises ValueError when the smallest is below -clamp_tolerance max(1, max |w|).
-    """
-    scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
-    if w.size and w[-1] < -clamp_tolerance * scale:
-        raise ValueError(f"operator is not positive: min eigenvalue {w[-1]:.3e}")
-    return np.maximum(w, 0.0)
 
 
 def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Operator algebra: tensor products, data operators, operator convolutions,
-Cohen's class, total correlation and spectral decomposition.
+Cohen's class and total correlation.
 
 Operators are dense d x d complex matrices.  The two convolutions are
 
@@ -26,33 +26,39 @@ from .tf_core import grid_reflect
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A finite d x d Hermitian matrix, symmetrized on construction.
+    """A finite d x d Hermitian matrix, checked and symmetrized on construction.
 
-    The symmetrized matrix is exactly Hermitian, so it is its own adjoint.
+    The one checked constructor, for public and file input; matrices the
+    library builds Hermitian take the trusted `_built`, which symmetrizes
+    alike but tests nothing.  The result is exactly Hermitian, its own adjoint.
     A data operator S = X^T conj(X) also keeps its (N, d) factor X in
-    `_factor`.  Only `data_operator` sets it, and only to a read-only X
-    whose memory nothing writable shares, so the factor stays the matrix's.
+    `_factor`, which marks it positive by construction.  Only
+    `data_operator` sets it, and only to a read-only X whose memory nothing
+    writable shares, so the factor stays the matrix's.
     """
 
     matrix: np.ndarray
-    hermiticity_defect: float = field(init=False)
     _factor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"operator must be square, got shape {A.shape}")
-        AH = A.conj().T
         # a NaN or inf entry makes the defect NaN, which fails the test below too
         with np.errstate(invalid="ignore"):
-            defect = float(np.max(np.abs(A - AH))) if A.size else 0.0
+            defect = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
         scale = float(np.max(np.abs(A))) if A.size else 0.0
         if not defect <= 1e-10 * max(scale, 1.0):
             raise ValueError(f"matrix is not finite and Hermitian: defect {defect:.3e}")
-        sym = 0.5 * (A + AH)
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
-        object.__setattr__(self, "hermiticity_defect", defect)
+        object.__setattr__(self, "matrix", _symmetrized(A))
+
+    @classmethod
+    def _built(cls, A: np.ndarray, factor: np.ndarray | None = None) -> "HermitianOperator":
+        """A complex matrix the library built Hermitian: symmetrized, not tested."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", _symmetrized(A))
+        object.__setattr__(op, "_factor", factor)
+        return op
 
     @property
     def d(self) -> int:
@@ -69,17 +75,11 @@ class HermitianOperator:
         return eta
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues sorted descending with orthonormal eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    clamp_tolerance: float
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues[None, :]) @ V.conj().T
+def _symmetrized(A: np.ndarray) -> np.ndarray:
+    """(A + A^*) / 2, read-only: exactly Hermitian, so eigvalsh reads either triangle."""
+    sym = 0.5 * (A + A.conj().T)
+    sym.setflags(write=False)
+    return sym
 
 
 def tensor_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -115,35 +115,9 @@ def data_operator(dataset) -> HermitianOperator:
         X = X.copy()
         X.setflags(write=False)
     norms_sq = float(np.sum(np.abs(X) ** 2))
-    if abs(norms_sq - 1.0) > 1e-8:
-        raise ValueError(
-            f"dataset is not normalized: sum of squared norms is {norms_sq:.6g}"
-        )
-    S = HermitianOperator(X.T @ X.conj())
-    object.__setattr__(S, "_factor", X)
-    return S
-
-
-def spectral_decompose(A: HermitianOperator, clamp_tolerance: float = 1e-10) -> SpectralDecomposition:
-    """Eigendecomposition with descending eigenvalues and deterministic phases.
-
-    Eigenvalues in [-clamp_tolerance * ||A||, 0) are clamped to zero; each
-    eigenvector is phase-rotated so its largest-modulus component is real
-    and positive, which makes results reproducible across runs.
-    """
-    M = A.matrix
-    w, V = np.linalg.eigh(M)
-    order = np.argsort(w, kind="stable")[::-1]
-    w = w[order]
-    V = V[:, order]
-    scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
-    clamp = clamp_tolerance * scale
-    w = np.where((w < 0) & (w >= -clamp), 0.0, w)
-    for k in range(V.shape[1]):
-        j = int(np.argmax(np.abs(V[:, k])))
-        phase = V[j, k] / abs(V[j, k])
-        V[:, k] = V[:, k] / phase
-    return SpectralDecomposition(w, V, clamp_tolerance)
+    if not abs(norms_sq - 1.0) <= 1e-8:  # so that a NaN signal fails too
+        raise ValueError(f"dataset is not normalized: sum of squared norms is {norms_sq:.6g}")
+    return HermitianOperator._built(X.T @ X.conj(), X)
 
 
 def operator_shift(S: np.ndarray | HermitianOperator, z: tuple[int, int]) -> np.ndarray:
@@ -223,16 +197,19 @@ def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
     F (x) S = (1/d) sum_{m,n} F(m,n) alpha_{(m,n)}(S).  Positive for F >= 0
     and S positive; tr(F (x) S) = grid_integrate(F) tr(S).
 
-    Evaluated as from_spreading(F-hat eta_S) / d, O(d^2 log d).
+    Evaluated as from_spreading(F-hat eta_S) / d, O(d^2 log d).  A raw S is
+    checked Hermitian and F finite; the result is Hermitian by construction.
     """
     F = np.asarray(F)
-    M = _as_matrix(S)
-    d = M.shape[0]
+    S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
+    d = S.d
     if F.shape != (d, d):
         raise ValueError(f"grid shape {F.shape} does not match operator size {d}")
     if not np.isrealobj(F):
         raise ValueError("grid function must be real")
-    return HermitianOperator(from_spreading(_symplectic_fft(F) * spreading(S)) / d)
+    if not np.isfinite(F).all():
+        raise ValueError("grid function must be finite")
+    return HermitianOperator._built(from_spreading(_symplectic_fft(F) * spreading(S)) / d)
 
 
 def op_op_convolve(S, T) -> np.ndarray:
@@ -242,8 +219,9 @@ def op_op_convolve(S, T) -> np.ndarray:
     non-negative for positive inputs, and integrates to tr(S) tr(T).
     Evaluated as the inverse symplectic DFT of conj(eta_{S^*}) eta_{T-check},
     where eta_{T-check}(z) = eta_T(-z).  A HermitianOperator operand is its
-    own adjoint, so its kept spreading function serves as eta_{S^*} and it
-    is not tested for hermiticity again; a raw matrix is.
+    own adjoint, so its kept spreading function serves as eta_{S^*}.  The
+    grid is real when both operands are HermitianOperators, and complex
+    otherwise (its imaginary part is roundoff for Hermitian raw matrices).
     """
     A, B = _as_matrix(S), _as_matrix(T)
     d = A.shape[0]
@@ -252,14 +230,7 @@ def op_op_convolve(S, T) -> np.ndarray:
     typed_S, typed_T = isinstance(S, HermitianOperator), isinstance(T, HermitianOperator)
     eta_adjoint = spreading(S) if typed_S else spreading(A.conj().T)
     out = _inverse_symplectic_fft(np.conj(eta_adjoint) * grid_reflect(spreading(T)))
-    if (typed_S or _is_hermitian(A)) and (typed_T or _is_hermitian(B)):
-        out = np.ascontiguousarray(out.real)
-    return out
-
-
-def _is_hermitian(M: np.ndarray) -> bool:
-    scale = max(float(np.max(np.abs(M))), 1e-300)
-    return float(np.max(np.abs(M - M.conj().T))) < 1e-10 * scale
+    return np.ascontiguousarray(out.real) if typed_S and typed_T else out
 
 
 def _clamp_nonnegative(out) -> np.ndarray:
@@ -273,9 +244,18 @@ def _clamp_nonnegative(out) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
+def _nonnegative_spectrum(w: np.ndarray, clamp_tolerance: float = 1e-8) -> np.ndarray:
+    """Descending eigenvalues w with roundoff negatives set to zero; raises
+    ValueError when the smallest is below -clamp_tolerance max(1, max |w|)."""
+    scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
+    if w.size and w[-1] < -clamp_tolerance * scale:
+        raise ValueError(f"operator is not positive: min eigenvalue {w[-1]:.3e}")
+    return np.maximum(w, 0.0)
+
+
 def _check_positive(A: np.ndarray) -> None:
     """Raise unless the Hermitian matrix A has no eigenvalue below
-    -1e-10 max(|lambda_max|, 1).  A Cholesky factorization of A + tau I with
+    -1e-10 max(1, max |lambda|).  A Cholesky factorization of A + tau I with
     tau = 1e-10 max(1, max_i A_ii) accepts at a fraction of an eigensolve's
     cost, and never more loosely, as max_i A_ii <= lambda_max; only when it
     fails are the eigenvalues computed."""
@@ -284,12 +264,8 @@ def _check_positive(A: np.ndarray) -> None:
     tau = 1e-10 * max(1.0, float(A.diagonal().real.max()))
     try:
         np.linalg.cholesky(A + tau * np.eye(len(A)))
-        return
     except np.linalg.LinAlgError:
-        pass
-    w = np.linalg.eigvalsh(A)  # ascending
-    if w[0] < -1e-10 * max(abs(w[-1]), 1.0):
-        raise ValueError(f"operator is not positive: min eigenvalue {w[0]:.3e}")
+        _nonnegative_spectrum(np.linalg.eigvalsh(A)[::-1], 1e-10)
 
 
 def total_correlation(S) -> np.ndarray:
@@ -297,13 +273,15 @@ def total_correlation(S) -> np.ndarray:
 
     For a data operator, S-tilde(z) = sum_{i,j} |V_{f_i} f_j (z)|^2.  It is
     the inverse symplectic DFT of |eta_S|^2 (one 2-d FFT).  S must be
-    positive: its eigenvalues may not fall below -1e-10 max(1, lambda_max).
+    positive: its eigenvalues may not fall below -1e-10 max(1, max |lambda|).
+    A data operator is positive by construction and is not factorized.
     The O(N^2) double-STFT sum is the test oracle.
 
     Non-negative, integrates to tr(S)^2 = 1, and S-tilde(0) = tr(S^2).
     """
     A = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    _check_positive(A.matrix)
+    if A._factor is None:
+        _check_positive(A.matrix)
     return _clamp_nonnegative(_inverse_symplectic_fft(np.abs(spreading(A)) ** 2))
 
 

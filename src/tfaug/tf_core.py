@@ -133,8 +133,6 @@ def hermite(d: int, n: int) -> np.ndarray:
     edge and raise ValueError: from n = 199 at d = 280 and from n = 179 at
     d = 512, so not every n < d is available for large d.
     """
-    if not 0 <= n < d:
-        raise ValueError(f"order must satisfy 0 <= n < d, got n={n}, d={d}")
     return _hermite_family(d, n)[:, n]
 
 
@@ -168,11 +166,13 @@ def _hermite_polys(n_max: int, y: np.ndarray) -> np.ndarray:
 def _hermite_family(d: int, n_max: int) -> np.ndarray:
     """Columns 0..n_max of sampled, Gram-Schmidted Hermite functions.
 
-    Raises ValueError when a sampled function is not finite: H_n overflows
-    float64 at the grid's edges for large n (from n = 199 at d = 280).
+    Raises ValueError unless 0 <= n_max < d, and when a sampled function is
+    not finite: H_n overflows float64 at the grid's edges (from n = 199 at d = 280).
     """
     if d < 4:
         raise ValueError(f"need d >= 4, got {d}")
+    if not 0 <= n_max < d:
+        raise ValueError(f"Hermite order must satisfy 0 <= n < d, got n={n_max}, d={d}")
     x = (np.arange(d) - d / 2) / np.sqrt(d)
     H = _hermite_polys(n_max, np.sqrt(2 * np.pi) * x)
     with np.errstate(invalid="ignore"):

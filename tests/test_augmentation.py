@@ -121,6 +121,19 @@ class TestFiniteRankApprox:
         sv = np.linalg.svd(loc.matrix - Tproj.matrix, compute_uv=False)
         assert abs(err - sv.sum()) < 1e-9
 
+    def test_matches_eigh_oracle(self, rng):
+        d = 16
+        S = rand_state(rng, 3, d)
+        dom = T.make_rect_domain(d, 2.2, 1.7)
+        Tproj, A, err = T.finite_rank_approx(dom, S)
+        w, V = np.linalg.eigh(T.mixed_state_localization(dom, S).matrix)
+        w, V = w[::-1], V[:, ::-1]
+        A_oracle = math.ceil(dom.measure - 1e-12)
+        assert A == A_oracle
+        top = V[:, :A_oracle]
+        assert np.max(np.abs(Tproj.matrix - top @ top.conj().T)) < 1e-10
+        assert abs(err - (np.sum(1.0 - w[:A_oracle]) + np.sum(w[A_oracle:]))) < 1e-10
+
     def test_ceiling_rank(self, rng):
         d = 16
         dom = T.make_rect_domain(d, 1.5, 1.5)

@@ -111,6 +111,15 @@ class TestSignalFiles:
         with pytest.raises(ValueError):
             read_signals_csv(path)
 
+    @pytest.mark.parametrize("header, field", [("# n=1", "d"), ("# n=1 d", "d"),
+                                               ("# d=1 n=x", "n")])
+    def test_csv_bad_header_exit_2(self, tmp_path, capsys, header, field):
+        path = tmp_path / "sig.csv"
+        path.write_text(f"{header}\n1.0,0.0\n")
+        assert main(["metrics", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"lacks a '{field}=<count>' field" in err
+
 
 class TestDomainJson:
     def test_rect_round_trip(self):
@@ -385,6 +394,20 @@ class TestExperimentConfig:
         assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "Hermite function of order 199 is not finite at d=280" in err
+        assert not (tmp_path / "hermite_mix.csv").exists()
+
+    def test_hermite_order_at_d_exit_2(self, tmp_path, capsys):
+        # hermite_interp needs h_9, so d = 8 has too few orders
+        assert main(["experiment", "--experiment", "hermite_interp", "--d", "8",
+                     "--no-svg", "--out", str(tmp_path)]) == 2
+        assert "Hermite order must satisfy 0 <= n < d, got n=9, d=8" in capsys.readouterr().err
+        assert not (tmp_path / "hermite_interp.csv").exists()
+
+    def test_hermite_mix_without_orders_exit_2(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"experiment": "hermite_mix", "n_max": 0, "d": 16}))
+        assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
+        assert "got n=-1, d=16" in capsys.readouterr().err
         assert not (tmp_path / "hermite_mix.csv").exists()
 
     def test_wrong_type_exit_2(self, tmp_path):

@@ -103,43 +103,13 @@ class TestDataOperator:
         w = np.linalg.eigvalsh(S.matrix)[::-1]
         assert np.max(np.abs(tfaug.metrics._positive_eigenvalues(S) - w)) < 1e-12
 
-
-class TestSpectralDecompose:
-    def test_scaled_identity(self):
-        d = 8
-        dec = T.spectral_decompose(T.HermitianOperator(np.eye(d) / d))
-        assert np.allclose(dec.eigenvalues, 1 / d)
-
-    def test_rank_one(self, rng):
-        f = rand_signal(rng, 8)
-        dec = T.spectral_decompose(T.HermitianOperator(T.tensor_product(f, f)))
-        assert abs(dec.eigenvalues[0] - np.linalg.norm(f) ** 2) < 1e-10
-        assert np.max(np.abs(dec.eigenvalues[1:])) < 1e-10
-
-    def test_reconstruction_and_gram(self, rng):
-        S = rand_state(rng, 5, 16)
-        dec = T.spectral_decompose(S)
-        assert np.max(np.abs(dec.reconstruct() - S.matrix)) < 1e-8
-        G = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert np.max(np.abs(G - np.eye(16))) < 1e-10
-
-    def test_variational_property(self, rng):
-        # top eigenvector maximizes sum_i |<psi, f_i>|^2 over random probes
-        ds = rand_dataset(rng, 5, 16)
-        S = T.data_operator(ds)
-        dec = T.spectral_decompose(S)
-        h1 = dec.eigenvectors[:, 0]
-        best = sum(abs(np.vdot(h1, f)) ** 2 for f in ds.signals)
-        for _ in range(200):
-            psi = rand_unit(rng, 16)
-            val = sum(abs(np.vdot(psi, f)) ** 2 for f in ds.signals)
-            assert val <= best + 1e-9
-
-    def test_deterministic_phases(self, rng):
-        S = rand_state(rng, 4, 12)
-        a = T.spectral_decompose(S).eigenvectors
-        b = T.spectral_decompose(S).eigenvectors
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_signal(self, rng, value):
+        # the result is not tested again, so the norm test must catch it
+        X = rand_dataset(rng, 3, 8).as_matrix()
+        X[1, 2] = value
+        with pytest.raises(ValueError, match="not normalized"):
+            T.data_operator(T.DataSet(X))
 
 
 class TestOperatorShift:
@@ -195,6 +165,22 @@ class TestFnOpConvolve:
         S = rand_state(rng, 3, d)
         F = rng.standard_normal((d, d))
         assert np.max(np.abs(T.fn_op_convolve(F, S).matrix - fn_op_direct(F, S.matrix))) < 1e-10
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_grid(self, rng, value):
+        d = 8
+        F = np.ones((d, d))
+        F[3, 4] = value
+        with pytest.raises(ValueError, match="finite"):
+            T.fn_op_convolve(F, rand_state(rng, 3, d))
+
+    def test_rejects_raw_non_hermitian_operator(self, rng):
+        # the full twirl of any M is tr(M) I, Hermitian: only the input
+        # check can reject M
+        d = 8
+        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        with pytest.raises(ValueError, match="Hermitian"):
+            T.fn_op_convolve(np.ones((d, d)), M)
 
     def test_young_trace_norm_bound(self, rng):
         d = 8
@@ -266,22 +252,13 @@ class TestOpOpConvolve:
         S, Q = rand_state(rng, 3, d), rand_state(rng, 2, d)
         R = T.fn_op_convolve(rng.standard_normal((d, d)), Q)
         for A, B in [(S, Q), (R, S), (S, R), (R, R)]:
-            raw = T.op_op_convolve(A.matrix.copy(), B.matrix.copy())
-            assert raw.dtype == float
-            for typed in (T.op_op_convolve(A, B), T.op_op_convolve(A, B.matrix.copy()),
-                          T.op_op_convolve(A.matrix.copy(), B)):
-                assert typed.dtype == float and typed.tobytes() == raw.tobytes()
-
-    def test_typed_operands_not_tested_again(self, rng, monkeypatch):
-        def refuse(M):
-            raise AssertionError("typed operand tested for hermiticity again")
-
-        S, Q = rand_state(rng, 3, 8), rand_state(rng, 2, 8)
-        expected = T.op_op_convolve(S, Q)
-        monkeypatch.setattr(tfaug.operators, "_is_hermitian", refuse)
-        assert np.array_equal(T.op_op_convolve(S, Q), expected)
-        with pytest.raises(AssertionError):
-            T.op_op_convolve(S.matrix, Q)
+            typed = T.op_op_convolve(A, B)
+            assert typed.dtype == float
+            # a raw operand makes the grid complex, with the same real part
+            for raw in (T.op_op_convolve(A.matrix.copy(), B.matrix.copy()),
+                        T.op_op_convolve(A, B.matrix.copy()),
+                        T.op_op_convolve(A.matrix.copy(), B)):
+                assert raw.dtype == complex and raw.real.tobytes() == typed.tobytes()
 
 
 class TestTotalCorrelation:
@@ -312,6 +289,27 @@ class TestTotalCorrelation:
         M = np.diag([1.5, -0.5] + [0.0] * 6)
         with pytest.raises(ValueError):
             T.total_correlation(M)
+
+    def test_data_operator_is_not_factorized(self, rng, monkeypatch):
+        # positive by construction: no Cholesky factorization
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(M):
+            calls.append(M)
+            return cholesky(M)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        S = rand_state(rng, 3, 8)
+        St = T.total_correlation(S)
+        assert calls == []
+        # the same matrix, typed but not a data operator, is factorized once
+        assert np.array_equal(T.total_correlation(T.HermitianOperator(S.matrix)), St)
+        assert len(calls) == 1
+        # and a raw indefinite matrix still fails, after its factorization
+        with pytest.raises(ValueError, match="not positive"):
+            T.total_correlation(np.diag([1.5, -0.5] + [0.0] * 6))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("lowest, accepted", [(-2e-10, False), (-5e-11, True)])
     def test_positivity_tolerance(self, rng, lowest, accepted):
