@@ -51,7 +51,6 @@ from .operators import (
     total_correlation,
 )
 from .tf_core import (
-    PhaseGrid,
     gaussian_window,
     grid_convolve,
     grid_integrate,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .datasets import DataSet
 from .operators import HermitianOperator, _nonnegative_spectrum, fn_op_convolve
-from .tf_core import PhaseGrid, _tf_shifts
+from .tf_core import _tf_shifts, signed_indices
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class Domain:
 
 
 def make_rect_domain(
-    grid: PhaseGrid | int,
+    d: int,
     width: float,
     height: float,
     center: tuple[float, float] = (0.0, 0.0),
@@ -75,8 +75,7 @@ def make_rect_domain(
     Selects the cells whose centers lie in the closed rectangle of the given
     width (time axis) and height (frequency axis) around center.
     """
-    grid = grid if isinstance(grid, PhaseGrid) else PhaseGrid(grid)
-    d = grid.d
+    k = signed_indices(d)
     if width <= 0 or height <= 0:
         raise ValueError("width and height must be positive")
     side = math.sqrt(d)
@@ -84,7 +83,7 @@ def make_rect_domain(
         raise ValueError(
             f"rectangle {width} x {height} exceeds the torus side {side:.4g}"
         )
-    c = grid.signed_indices() / side
+    c = k / side
 
     def _axis_mask(extent, center_coord):
         delta = (c - center_coord + side / 2) % side - side / 2
@@ -99,19 +98,23 @@ def make_rect_domain(
     )
 
 
-def make_cells_domain(grid: PhaseGrid | int, cells) -> Domain:
+def make_cells_domain(d: int, cells) -> Domain:
     """Domain from an explicit list of (m, n) cell indices."""
-    grid = grid if isinstance(grid, PhaseGrid) else PhaseGrid(grid)
-    mask = np.zeros((grid.d, grid.d), dtype=bool)
+    mask = _blank_mask(d)
     for m, n in cells:
-        mask[m % grid.d, n % grid.d] = True
+        mask[m % d, n % d] = True
     kept = [[int(m), int(n)] for m, n in np.argwhere(mask)]
     return Domain(mask, {"shape": "cells", "cells": kept})
 
 
-def full_domain(grid: PhaseGrid | int) -> Domain:
-    grid = grid if isinstance(grid, PhaseGrid) else PhaseGrid(grid)
-    return Domain(np.ones((grid.d, grid.d), dtype=bool), {"shape": "full"})
+def full_domain(d: int) -> Domain:
+    return Domain(~_blank_mask(d), {"shape": "full"})
+
+
+def _blank_mask(d: int) -> np.ndarray:
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    return np.zeros((d, d), dtype=bool)
 
 
 def scale_domain(domain: Domain, factor: float) -> Domain:
@@ -120,7 +123,7 @@ def scale_domain(domain: Domain, factor: float) -> Domain:
     if desc.get("shape") != "rect":
         raise ValueError("only rectangle domains can be scaled")
     return make_rect_domain(
-        PhaseGrid(domain.d),
+        domain.d,
         desc["width"] * factor,
         desc["height"] * factor,
         tuple(desc.get("center", (0.0, 0.0))),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import HermitianOperator, tensor_product
-from .tf_core import gaussian_window, tf_shift
+from .tf_core import gaussian_window, signed_indices, tf_shift
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,11 @@ def normalize_dataset(dataset: DataSet) -> DataSet:
     return DataSet(total**-0.5 * dataset.signals, dataset.seed, dataset.label)
 
 
-def _rng(seed) -> np.random.Generator:
+def _rng(N: int, d: int, seed: int) -> np.random.Generator:
+    """The generator's RNG, once the arguments every generator takes are checked."""
+    for name, value, low in (("N", N, 1), ("d", d, 1), ("seed", seed, 0)):
+        if value < low:
+            raise ValueError(f"need {name} >= {low}, got {value}")
     return np.random.default_rng(seed)
 
 
@@ -95,14 +99,12 @@ def gen_chirps(
     after MAX_FREQ_REDRAWS redraws), and the sweep rate is uniform in
     rate_range (Hz per second).
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    rng = _rng(N, d, seed)
     lo, hi = rate_range
     if hi < lo:
         raise ValueError(f"invalid rate_range {rate_range}")
     if freq_band[1] < freq_band[0]:
         raise ValueError(f"invalid freq_band {freq_band}")
-    rng = _rng(seed)
     f0, rate, shift = np.empty(N), np.empty(N), np.empty(N, dtype=np.int64)
     for i in range(N):
         for _ in range(MAX_FREQ_REDRAWS + 1):
@@ -137,8 +139,7 @@ def gen_hermite_pair_state(t: float, g: np.ndarray, h: np.ndarray) -> HermitianO
 
 def _near_origin_cells(d: int, spread: float) -> np.ndarray:
     """Grid cells whose centered phase coordinates lie within radius spread."""
-    k = np.arange(d)
-    signed = np.where(k < d - k, k, k - d) / np.sqrt(d)
+    signed = signed_indices(d) / np.sqrt(d)
     mm, nn = np.meshgrid(signed, signed, indexing="ij")
     sel = mm**2 + nn**2 <= spread**2
     return np.argwhere(sel)
@@ -162,7 +163,7 @@ def gen_local_components(
     """
     if not 0.0 <= noise_energy < 1.0:
         raise ValueError(f"noise_energy must lie in [0, 1), got {noise_energy}")
-    rng = _rng(seed)
+    rng = _rng(N, d, seed)
     g = gaussian_window(d) if window is None else np.asarray(window, dtype=complex)
     if np.isscalar(spread):
         cells = _near_origin_cells(d, float(spread))
@@ -207,9 +208,7 @@ def gen_random_tf_weighted(
     one phase unit) within max_radius of the origin, with uniform random
     complex coefficients c_l.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    rng = _rng(seed)
+    rng = _rng(N, d, seed)
     g = gaussian_window(d)
     sqd = np.sqrt(d)
     half = int(max_radius)
@@ -247,10 +246,8 @@ def gen_gaussian_combos(
     Atom positions are drawn from the integer lattice intersected with M;
     coefficients are uniform random complex numbers.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
     w, h = M_rect
-    rng = _rng(seed)
+    rng = _rng(N, d, seed)
     g = gaussian_window(d)
     sqd = np.sqrt(d)
     lattice = [

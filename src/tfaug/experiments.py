@@ -52,6 +52,34 @@ DOMAIN_SCALES = (1.0, 1.3, 1.6)
 SIZE_FIELDS = ("d", "N", "trials")  # the config fields an experiment may read
 
 
+def _at_least(low):
+    return (lambda v, d: v >= low), f"be at least {low}"
+
+
+# every parameter's valid range: name -> (test of a value given the config's d,
+# what the test asks for); a name means the same thing in every experiment
+RANGES = {
+    **dict.fromkeys(("N", "trials", "n_seeds", "n_gauss"), _at_least(1)),
+    "seed": _at_least(0),
+    "N_values": (lambda v, d: len(v) > 0 and min(v) >= 1, "be a non-empty list of values >= 1"),
+    # chirp_ed's square of side_cells / sqrt(d) must fit the torus, local_components
+    # tabulates the n_eigs largest of d eigenvalues, hermite_mix the orders below n_max
+    **dict.fromkeys(("side_cells", "n_eigs", "n_max"),
+                    ((lambda v, d: 1 <= v <= d), "be between 1 and d = {d}")),
+    # local_components reads the noiseless column as mixed_0.0 (not mixed_-0.0) and
+    # the noise energy fractions in order
+    "noise_levels": (
+        lambda v, d: str(v[:1]) == "[0.0]" and all(a < b < 1 for a, b in zip(v, v[1:])),
+        "include 0.0 as its first level and increase strictly below 1"),
+}
+# each experiment's least d (else 1): its rectangle sides fit the torus side sqrt(d)
+# (ALC sweeps 4.0 x 1.6 = 6.4, sqrt(15), 3, bounds_suite's 1.2 <= 0.7 sqrt(d)),
+# hermite_interp needs h_9 and the Gaussian window d >= 4
+LEAST_D = {"gauss_alc": 41, "chirp_alc": 41, "alc_vs_ed": 41, "local_components": 15,
+           "hermite_interp": 10, "hermite_mix": 9, "cohen_demo": 4, "tf_weighted": 4,
+           "bounds_suite": 3}
+
+
 def _same_type(value, default) -> bool:
     """value has default's type; a list's items have the type of default's items."""
     if isinstance(default, list):
@@ -68,9 +96,9 @@ class ExperimentConfig:
     missing `params` keys take the experiment's defaults, so the config, its
     hash and the report record the run that actually happens.  An unknown
     experiment, a field or key the experiment does not read, a value whose
-    type differs from the default's (for lists: the items' type), d or
-    trials below 1, noise_levels without 0.0 or n_eigs outside 1..d raises
-    ValueError.
+    type differs from the default's (for lists: the items' type) or a value
+    outside its range in `RANGES` (for d: the experiment's `LEAST_D`) raises
+    ValueError naming the parameter, the bound and the value.
     """
 
     experiment: str
@@ -95,24 +123,19 @@ class ExperimentConfig:
         if unused:
             raise ValueError(f"{self.experiment} does not read {', '.join(sorted(unused))}")
         params.update(self.params)
-        for key, value in {"seed": self.seed, **given, **params}.items():
+        sizes = {k: given.get(k, defaults[k]) for k in SIZE_FIELDS if k in defaults}
+        for key in SIZE_FIELDS:
+            setattr(self, key, sizes.get(key))
+        self.params = params
+        ranges = {**RANGES, "d": _at_least(LEAST_D.get(self.experiment, 1))}
+        # d first: the ranges of side_cells, n_eigs and n_max depend on it
+        for key, value in {**sizes, "seed": self.seed, **params}.items():
             default = defaults.get(key, 0)
             if not _same_type(value, default):
                 raise ValueError(f"{key} must have the type of {default!r}, got {value!r}")
-        for key in SIZE_FIELDS:
-            setattr(self, key, given.get(key, defaults.get(key)))
-        self.params = params
-        if self.d < 1:
-            raise ValueError(f"d must be at least 1, got {self.d}")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if 0.0 not in params.get("noise_levels", [0.0]):
-            # local_components compares the noiseless operator with the classical one
-            raise ValueError(f"noise_levels must include 0.0, got {params['noise_levels']}")
-        n_eigs = params.get("n_eigs", 1)
-        if not 1 <= n_eigs <= self.d:
-            # local_components tabulates the n_eigs largest of d eigenvalues
-            raise ValueError(f"n_eigs must be between 1 and d = {self.d}, got {n_eigs}")
+            holds, wording = ranges[key]
+            if not holds(value, self.d):
+                raise ValueError(f"{key} must {wording.format(d=self.d)}, got {value!r}")
 
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""
@@ -460,7 +483,7 @@ def run_bounds_suite(config: ExperimentConfig):
         rng = np.random.default_rng(config.seed + trial)
         S, dom = _random_instance(config.d, rng)
         trials.append((dom.measure, {c.name: c for c in check_bounds(S, dom)}))
-    names = list(trials[0][1]) if trials else []  # one verdict column per check
+    names = list(trials[0][1])  # one verdict column per check
     table = ResultTable(
         ["trial", "measure", "lower", "mid", "upper", *names, "pass"], _meta(config)
     )

@@ -20,7 +20,6 @@ import numpy as np
 from .augmentation import Domain, full_domain, make_cells_domain, make_rect_domain
 from .datasets import DataSet
 from .floattext import float_rows
-from .tf_core import PhaseGrid
 
 MAGIC = b"QHA1"
 
@@ -145,7 +144,7 @@ def domain_from_json(text: str, d: int | None = None) -> Domain:
         center = spec.get("center", [0.0, 0.0])
         if not _is_pair(center, _is_number):
             raise ValueError(f"domain field 'center' must be two finite numbers, got {center!r}")
-        return make_rect_domain(PhaseGrid(d), spec["width"], spec["height"], tuple(center))
+        return make_rect_domain(d, spec["width"], spec["height"], tuple(center))
     if shape == "full":
         return full_domain(d)
     if shape == "cells":
@@ -155,5 +154,5 @@ def domain_from_json(text: str, d: int | None = None) -> Domain:
             raise ValueError(
                 f"domain field 'cells' must be a list of [m, n] integer pairs, got {bad[0]!r}"
             )
-        return make_cells_domain(PhaseGrid(d), cells)
+        return make_cells_domain(d, cells)
     raise ValueError(f"unknown domain shape {shape!r}")

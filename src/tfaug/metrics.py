@@ -28,7 +28,7 @@ from .operators import (
     op_op_convolve,
     total_correlation,
 )
-from .tf_core import PhaseGrid, grid_convolve, grid_integrate
+from .tf_core import grid_convolve, grid_integrate, signed_indices
 
 
 def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
@@ -263,8 +263,7 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
 def _centered_distance_grid(d: int) -> np.ndarray:
     """Minimal cyclic Euclidean distance |z| in phase units; built once per d
     (the most recent 8 sizes are kept) and read-only."""
-    grid = PhaseGrid(d)
-    k = grid.signed_indices() / math.sqrt(d)
+    k = signed_indices(d) / math.sqrt(d)
     mm, nn = np.meshgrid(k, k, indexing="ij")
     dist = np.hypot(mm, nn)
     dist.setflags(write=False)

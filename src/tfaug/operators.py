@@ -122,7 +122,7 @@ def data_operator(dataset) -> HermitianOperator:
 
 def operator_shift(S: np.ndarray | HermitianOperator, z: tuple[int, int]) -> np.ndarray:
     """alpha_z(S) = pi(z) S pi(z)^*; unitary conjugation, spectrum invariant."""
-    M = S.matrix if isinstance(S, HermitianOperator) else np.asarray(S, dtype=complex)
+    M = _as_matrix(S)
     d = M.shape[0]
     m, n = z[0] % d, z[1] % d
     x = np.arange(d)
@@ -138,12 +138,6 @@ def _as_matrix(S) -> np.ndarray:
 def parity(f: np.ndarray) -> np.ndarray:
     """P f(x) = f(-x mod d)."""
     return np.roll(np.asarray(f)[::-1], 1)
-
-
-def operator_parity(S) -> np.ndarray:
-    """S-check = P S P, reflecting both indices through the origin."""
-    M = _as_matrix(S)
-    return np.roll(np.flip(M, axis=(0, 1)), 1, axis=(0, 1))
 
 
 @lru_cache(maxsize=8)
@@ -291,7 +285,7 @@ def cohen_class(S, f: np.ndarray) -> np.ndarray:
     For S = g (x) g this is the spectrogram |V_g f|^2; for a data operator
     it equals sum_i |V_{f_i} f|^2.  Integrates to tr(S) ||f||^2.
     """
-    return _clamp_nonnegative(op_op_convolve(operator_parity(S), tensor_product(f, f)))
+    return _clamp_nonnegative(op_op_convolve(grid_reflect(_as_matrix(S)), tensor_product(f, f)))
 
 
 def conv_layer_identity(f: np.ndarray, g: np.ndarray, m: np.ndarray):

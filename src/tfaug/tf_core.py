@@ -6,29 +6,15 @@ bounds) holds exactly up to floating round-off.  Grid index (m, n) maps to
 the continuous point z = (m/sqrt(d), n/sqrt(d)); both axes wrap modulo d.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """The d x d discretized phase space with cell measure 1/d."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be positive, got {self.d}")
-
-    @property
-    def cell_measure(self) -> float:
-        return 1.0 / self.d
-
-    def signed_indices(self) -> np.ndarray:
-        """Indices 0..d-1 remapped to the centered range [-d/2, d/2)."""
-        k = np.arange(self.d)
-        return np.where(k < self.d - k, k, k - self.d)
+def signed_indices(d: int) -> np.ndarray:
+    """Grid indices 0..d-1 remapped to the centered range [-d/2, d/2)."""
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    k = np.arange(d)
+    return np.where(k < d - k, k, k - d)
 
 
 def _check_signal(f: np.ndarray, d: int | None = None) -> np.ndarray:

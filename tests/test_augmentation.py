@@ -37,6 +37,16 @@ class TestRectDomain:
         with pytest.raises(ValueError):
             T.make_rect_domain(16, 5.0, 1.0)  # torus side is 4
 
+    @pytest.mark.parametrize("make", [
+        lambda d: T.make_rect_domain(d, 1.0, 1.0),
+        lambda d: T.make_cells_domain(d, [(0, 0)]),
+        T.full_domain,
+    ])
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_d_below_one_rejected(self, make, d):
+        with pytest.raises(ValueError, match=f"dimension must be positive, got {d}"):
+            make(d)
+
     def test_cells_domain_roundtrip(self):
         dom = T.make_cells_domain(8, [(0, 0), (1, 2), (7, 7)])
         assert dom.n_cells == 3

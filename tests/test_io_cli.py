@@ -12,7 +12,7 @@ import pytest
 import tfaug as T
 import tfaug.cli
 from tfaug.cli import main
-from tfaug.experiments import CATALOG
+from tfaug.experiments import CATALOG, LEAST_D, RANGES
 from tfaug.io import (
     read_signals_binary,
     read_signals_csv,
@@ -335,6 +335,19 @@ class TestCli:
     def test_unknown_experiment_exit_2(self, capsys):
         assert main(["experiment", "--experiment", "nope"]) == 2
 
+    @pytest.mark.parametrize("family, n, d, seed, named", [
+        ("chirps", "5", "-4", "0", "need d >= 1, got -4"),
+        ("local_components", "0", "16", "0", "need N >= 1, got 0"),
+        ("chirps", "5", "16", "-2", "need seed >= 0, got -2"),
+    ])
+    def test_gen_names_rejected_argument_exit_2(self, tmp_path, capsys, family, n, d, seed,
+                                                named):
+        out = tmp_path / "s.bin"
+        assert main(["gen", "--family", family, "--n", n, "--d", d, "--seed", seed,
+                     "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "chirps"])  # missing required args
@@ -400,14 +413,14 @@ class TestExperimentConfig:
         # hermite_interp needs h_9, so d = 8 has too few orders
         assert main(["experiment", "--experiment", "hermite_interp", "--d", "8",
                      "--no-svg", "--out", str(tmp_path)]) == 2
-        assert "Hermite order must satisfy 0 <= n < d, got n=9, d=8" in capsys.readouterr().err
+        assert "bad config: d must be at least 10, got 8" in capsys.readouterr().err
         assert not (tmp_path / "hermite_interp.csv").exists()
 
     def test_hermite_mix_without_orders_exit_2(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"experiment": "hermite_mix", "n_max": 0, "d": 16}))
         assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
-        assert "got n=-1, d=16" in capsys.readouterr().err
+        assert "bad config: n_max must be between 1 and d = 16, got 0" in capsys.readouterr().err
         assert not (tmp_path / "hermite_mix.csv").exists()
 
     def test_wrong_type_exit_2(self, tmp_path):
@@ -433,7 +446,7 @@ class TestExperimentConfig:
     def test_d_below_one_exit_2(self, tmp_path, capsys, d):
         assert main(["experiment", "--experiment", "gauss_alc", "--d", d,
                      "--out", str(tmp_path), "--no-svg"]) == 2
-        assert f"bad config: d must be at least 1, got {d}" in capsys.readouterr().err
+        assert f"bad config: d must be at least 41, got {d}" in capsys.readouterr().err
         assert not (tmp_path / "gauss_alc.csv").exists()
 
     def test_n_eigs_message_names_tested_value(self):
@@ -449,6 +462,62 @@ class TestExperimentConfig:
     def test_undeclared_field_rejected(self):
         with pytest.raises(ValueError, match="does not read N"):
             T.ExperimentConfig("hermite_mix", N=999)
+
+    def test_every_parameter_has_a_range(self):
+        read = {"seed"}.union(*(defaults for _, defaults in CATALOG.values()))
+        assert read - {"d"} <= set(RANGES)
+
+    @pytest.mark.parametrize("conf, name", [
+        ({"experiment": "chirp_ed", "N_values": []}, "N_values"),
+        ({"experiment": "chirp_ed", "N_values": [0]}, "N_values"),
+        ({"experiment": "chirp_ed", "n_seeds": 0}, "n_seeds"),
+        ({"experiment": "chirp_ed", "side_cells": 0}, "side_cells"),
+        ({"experiment": "local_components", "noise_levels": [0.0, 0.0]}, "noise_levels"),
+        ({"experiment": "local_components", "noise_levels": [0.0, 0.3, 0.1]}, "noise_levels"),
+        ({"experiment": "local_components", "noise_levels": [-0.0, 0.3]}, "noise_levels"),
+        ({"experiment": "local_components", "noise_levels": [0.0, 1.0]}, "noise_levels"),
+        ({"experiment": "local_components", "n_gauss": 0}, "n_gauss"),
+        ({"experiment": "gauss_alc", "d": 16}, "d"),
+        ({"experiment": "bounds_suite", "d": 2}, "d"),
+        ({"experiment": "chirp_totalcorr", "seed": -1}, "seed"),
+        ({"experiment": "hermite_mix", "d": 16, "n_max": 0}, "n_max"),
+        ({"experiment": "hermite_mix", "d": 16, "n_max": 300}, "n_max"),
+    ])
+    def test_value_outside_declared_range_exit_2(self, tmp_path, capsys, conf, name):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert f"bad config: {name} must " in capsys.readouterr().err
+        assert not out.exists()
+
+    # a small config of every experiment whose other parameters fit its least d
+    SMALL = {
+        "hermite_interp": {}, "hermite_mix": {"n_max": 3},
+        "chirp_ed": {"side_cells": 1, "N_values": [2], "n_seeds": 1},
+        "chirp_totalcorr": {"N": 2}, "tf_weighted": {"N": 3}, "cohen_demo": {"N": 3},
+        "gauss_alc": {"N": 3, "trials": 1}, "chirp_alc": {"N": 3, "trials": 1},
+        "alc_vs_ed": {"N": 3}, "local_components": {"n_gauss": 3, "n_eigs": 3},
+        "bounds_suite": {"trials": 2},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_least_d_is_tight(self, tmp_path, capsys, name):
+        least = LEAST_D.get(name, 1)
+        path = tmp_path / "conf.json"
+        for d, codes in ((least, (0, 1)), (least - 1, (2,))):
+            path.write_text(json.dumps({"experiment": name, "d": d, **self.SMALL[name]}))
+            out = tmp_path / str(d)
+            assert main(["experiment", "--config", str(path), "--out", str(out),
+                         "--no-svg"]) in codes
+        assert f"bad config: d must be at least {least}, got {least - 1}" in capsys.readouterr().err
+        assert (tmp_path / str(least) / f"{name}.csv").exists()
+        assert not (tmp_path / str(least - 1)).exists()
+        # the runner itself fails one below, so the declared bound is not too strict
+        config = T.ExperimentConfig.from_dict({"experiment": name, "d": least, **self.SMALL[name]})
+        config.d = least - 1
+        with pytest.raises((ValueError, ZeroDivisionError)):  # chirp_ed divides by sqrt(d)
+            CATALOG[name][0](config)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_defaults_written_out_hash_equal(self, name):

@@ -6,7 +6,8 @@ import pytest
 import tfaug as T
 import tfaug.metrics
 import tfaug.operators
-from tfaug.operators import operator_parity, operator_shift, parity, spreading
+from tfaug.operators import operator_shift, parity, spreading
+from tfaug.tf_core import grid_reflect
 
 from conftest import rand_dataset, rand_signal, rand_state, rand_unit
 
@@ -24,7 +25,7 @@ def fn_op_direct(F, S):
 def op_op_direct(A, B):
     """Direct O(d^4): (A (x) B)(z) = tr(A alpha_z(B-check))."""
     d = A.shape[0]
-    Bc = operator_parity(B)
+    Bc = grid_reflect(B)
     out = np.zeros((d, d), complex)
     for m in range(d):
         for n in range(d):
