@@ -36,6 +36,7 @@ from .metrics import (
     differential_entropy,
     effective_dimension,
     entropy_covariance_check,
+    localize,
     projection_functional_spectral,
     von_neumann_entropy,
 )

@@ -144,18 +144,22 @@ def mixed_state_localization(domain: Domain, S) -> HermitianOperator:
 def finite_rank_approx(domain: Domain, S):
     """Rank-ceil(|Omega|) projection approximant of chi_Omega (x) S.
 
-    Returns (T_Omega, A_Omega, trace-norm error).  T_Omega projects onto the
-    top A_Omega eigenvectors; the trace-norm error of chi_Omega (x) S minus
-    T_Omega is sum_{k <= A}(1 - lambda_k) + sum_{k > A} lambda_k.
+    Returns (T_Omega, A_Omega, trace-norm error) with T_Omega the projection
+    onto the top A_Omega eigenvectors.
     """
     loc = mixed_state_localization(domain, S)
     w, V = np.linalg.eigh(loc.matrix)
-    w = _nonnegative_spectrum(w[::-1])
-    A_omega = int(math.ceil(domain.measure - 1e-12))
+    A_omega, err = _finite_rank(_nonnegative_spectrum(w[::-1]), domain.measure)
     V = V[:, ::-1][:, :A_omega]
-    T = HermitianOperator._built(V @ V.conj().T)
-    err = float(np.sum(1.0 - w[:A_omega]) + np.sum(w[A_omega:]))
-    return T, A_omega, err
+    return HermitianOperator._built(V @ V.conj().T), A_omega, err
+
+
+def _finite_rank(w: np.ndarray, measure: float) -> tuple[int, float]:
+    """(A_Omega, ||L - T_Omega||_1) for the descending eigenvalues w of a
+    localization L of trace |Omega|: A_Omega = ceil(|Omega|), and the
+    trace-norm error sum_{k <= A}(1 - lambda_k) + sum_{k > A} lambda_k."""
+    A_omega = int(math.ceil(measure - 1e-12))
+    return A_omega, float(np.sum(1.0 - w[:A_omega]) + np.sum(w[A_omega:]))
 
 
 def augment_dataset(domain: Domain, dataset: DataSet, max_signals: int = 200_000) -> DataSet:

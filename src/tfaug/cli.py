@@ -21,12 +21,7 @@ from .datasets import (
 )
 from .experiments import CATALOG, ExperimentConfig, run_experiment
 from .io import domain_from_json, domain_to_json, read_signals, write_signals
-from .metrics import (
-    _alc_and_augmented_entropy,
-    _checked_total_correlation,
-    check_bounds,
-    effective_dimension,
-)
+from .metrics import _checked_total_correlation, check_bounds, effective_dimension, localize
 from .operators import data_operator
 
 GENERATORS = {
@@ -73,7 +68,7 @@ def cmd_metrics(args) -> int:
         args.d = ds.d
         dom = _load_domain(args)
         _checked_total_correlation(S)
-        a, H_aug = _alc_and_augmented_entropy(S, dom)
+        _, a, _, H_aug = localize(S, dom)
         out["domain_measure"] = dom.measure
         out["alc"] = a
         out["H_augmented"] = H_aug

@@ -46,10 +46,6 @@ class DataSet:
     def __len__(self) -> int:
         return len(self.signals)
 
-    def as_matrix(self) -> np.ndarray:
-        """A writable copy of the signals, shape (N, d)."""
-        return self.signals.copy()
-
     def total_energy(self) -> float:
         # row sums added in row order: the bits of a per-signal loop
         return float(sum(np.sum(np.abs(self.signals) ** 2, axis=1)))

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .augmentation import make_rect_domain, mixed_state_localization
+from .augmentation import make_rect_domain
 from .datasets import (
+    DataSet,
     gen_chirps,
     gen_gaussian_combos,
     gen_hermite_pair_state,
@@ -27,17 +28,9 @@ from .datasets import (
     gen_random_tf_weighted,
 )
 from .floattext import float_rows
-from .metrics import (
-    _alc_and_augmented_entropy,
-    _augmented_entropy,
-    _checked_total_correlation,
-    _spectral_entropy,
-    check_bounds,
-    von_neumann_entropy,
-)
+from .metrics import _checked_total_correlation, check_bounds, localize, von_neumann_entropy
 from .operators import (
     HermitianOperator,
-    _nonnegative_spectrum,
     cohen_class,
     data_operator,
     tensor_product,
@@ -227,11 +220,6 @@ def _meta(config: ExperimentConfig) -> dict:
     }
 
 
-def _norm_entropy(S, domain) -> float:
-    """H_vN of the trace-normalized Omega-augmentation of S."""
-    return _augmented_entropy(mixed_state_localization(domain, S), domain.measure)
-
-
 # --- individual experiments ---------------------------------------------
 
 
@@ -249,8 +237,8 @@ def run_hermite_interp(config: ExperimentConfig):
         table.add(
             t,
             von_neumann_entropy(S01),
-            _norm_entropy(S01, dom),
-            _norm_entropy(S09, dom),
+            localize(S01, dom).entropy,
+            localize(S09, dom).entropy,
         )
     report = {
         "max_H_S": max(r[1] for r in table.rows),
@@ -280,8 +268,8 @@ def run_chirp_ed(config: ExperimentConfig):
             ds = gen_chirps(N, d, seed=config.seed + s_i)
             S = data_operator(ds)
             H = von_neumann_entropy(S)
-            H_aug = _norm_entropy(S, dom)
-            rank = int(np.linalg.matrix_rank(ds.as_matrix()))
+            H_aug = localize(S, dom).entropy
+            rank = int(np.linalg.matrix_rank(ds.signals))
             table.add(N, s_i, rank, H, math.exp(H), H_aug, math.exp(H_aug))
     by_n = {}
     for r in table.rows:
@@ -328,9 +316,11 @@ def _run_alc_family(gen, config: ExperimentConfig):
     for trial in range(config.trials):
         S = data_operator(gen(config.N, config.d, seed=config.seed + trial))
         _checked_total_correlation(S)
-        results.append(
-            {key: _alc_and_augmented_entropy(S, dom) for key, dom in domains.items()}
-        )
+        row = {}
+        for key, dom in domains.items():
+            _, a, _, H_aug = localize(S, dom)  # the numbers are kept, not L
+            row[key] = (a, H_aug)
+        results.append(row)
     summary = {}
     for name, scale in domains:
         a = np.array([r[(name, scale)][0] for r in results])
@@ -368,7 +358,7 @@ def run_alc_vs_ed(config: ExperimentConfig):
     for name, (w, h) in DOMAIN_SHAPES.items():
         for scale in DOMAIN_SCALES:
             dom = make_rect_domain(d, w * scale, h * scale)
-            a, H_aug = _alc_and_augmented_entropy(S, dom)
+            _, a, _, H_aug = localize(S, dom)
             table.add(name, scale, dom.measure, math.log(dom.measure) + a, H_aug)
     report = {"lower_below_mid": all(r[3] <= r[4] + 1e-7 for r in table.rows)}
     curves = {
@@ -399,9 +389,8 @@ def run_local_components(config: ExperimentConfig):
     spectra = {}
     entropies = {}
     for name, S in ops.items():
-        w = np.linalg.eigvalsh(mixed_state_localization(dom, S).matrix)[::-1]
-        spectra[name] = _nonnegative_spectrum(w)[:n_eigs]
-        H_aug = _spectral_entropy(_nonnegative_spectrum(w / dom.measure))
+        _, _, w, H_aug = localize(S, dom)
+        spectra[name] = w[:n_eigs]
         entropies[name] = {"H_S": von_neumann_entropy(S), "H_aug": H_aug}
     for k in range(n_eigs):
         table.add(k, *(spectra[name][k] for name in ops))
@@ -433,7 +422,7 @@ def run_hermite_mix(config: ExperimentConfig):
         hn = fam[:, n - 1]
         S_single = HermitianOperator(tensor_product(hn, hn))
         S_accum = HermitianOperator(fam[:, :n] @ fam[:, :n].conj().T / n)
-        table.add(n, _norm_entropy(S_single, dom), _norm_entropy(S_accum, dom))
+        table.add(n, localize(S_single, dom).entropy, localize(S_accum, dom).entropy)
     crossover = next((r[0] for r in table.rows if r[2] <= r[1]), None)
     report = {"crossover_n": crossover, "domain_measure": dom.measure}
     curves = {
@@ -469,7 +458,7 @@ def _random_instance(d, rng):
     N = int(rng.integers(2, 6))
     X = rng.standard_normal((N, d)) + 1j * rng.standard_normal((N, d))
     X /= math.sqrt(float(np.sum(np.abs(X) ** 2)))
-    S = HermitianOperator(X.T @ X.conj())
+    S = data_operator(DataSet(X))
     side = math.sqrt(d)
     w = float(rng.uniform(1.2, side * 0.7))
     h = float(rng.uniform(1.2, side * 0.7))
@@ -523,9 +512,9 @@ CATALOG = {
 
 def run_experiment(config: ExperimentConfig) -> tuple[ResultTable, dict]:
     """Run one catalog experiment, writing CSV, report JSON and optional SVG."""
+    table, report, figures = CATALOG[config.experiment][0](config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table, report, figures = CATALOG[config.experiment][0](config)
     table.write(out_dir / f"{config.experiment}.csv")
     full_report = {"config": asdict(config), "config_hash": config.config_hash(), **report}
     (out_dir / f"{config.experiment}.report.json").write_text(

@@ -73,12 +73,12 @@ def read_signals_csv(path) -> DataSet:
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != N:
         raise ValueError(f"{path}: header says {N} signals, found {len(rows)} rows")
-    X = np.empty((N, 2 * d))
-    for i, ln in enumerate(rows):
-        vals = [float(tok) for tok in ln.split(",")]
-        if len(vals) != 2 * d:
-            raise ValueError(f"{path}: row has {len(vals)} columns, expected {2 * d}")
-        X[i] = vals
+    for ln in rows:
+        if ln.count(",") + 1 != 2 * d:
+            raise ValueError(f"{path}: row has {ln.count(',') + 1} columns, expected {2 * d}")
+    # numpy's C parser, with no comment or quote handling: every token must be
+    # a whole float literal, or ValueError names its row and column
+    X = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 2 * d))
     return DataSet(_check_finite(path, X).view(np.complex128), label=f"file({Path(path).name})")
 
 

@@ -1,13 +1,15 @@
 """Entropy and concentration functionals, and the paper's inequalities as
 checks.
 
-`check_bounds(S, Omega)` makes one analysis pass over a (data operator,
-domain) pair: it computes the total correlation S-tilde, the localization
-L = chi_Omega (x) S, the ALC (read off L) and L's eigenvalues once, and
-derives every inequality from them; the experiments and the CLI share its
-per-S and per-(S, Omega) steps.  Each inequality comes back as a
-`CheckResult` recording `lhs <= rhs` with its tolerance and verdict;
-`entropy_covariance_check` returns the same type.
+`localize(S, Omega)` is the one localization pass: it builds
+L = chi_Omega (x) S once and returns it with its ALC (read off L), its
+eigenvalues and the augmented entropy H_vN(L / |Omega|).  Every ALC and
+augmented-entropy value of the experiments, the CLI and `check_bounds`
+comes from it.  `check_bounds(S, Omega)` makes one analysis pass over a
+(data operator, domain) pair: the total correlation S-tilde and one
+`localize`, from which it derives every inequality.  Each inequality comes
+back as a `CheckResult` recording `lhs <= rhs` with its tolerance and
+verdict; `entropy_covariance_check` returns the same type.
 
 Natural logarithms throughout.  Structural identities are checked at
 1e-8..1e-10, entropy comparisons at 1e-7 absolute, discretization-sensitive
@@ -17,10 +19,11 @@ bounds at 1e-3 relative.
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .augmentation import Domain, mixed_state_localization
+from .augmentation import Domain, _finite_rank, mixed_state_localization
 from .operators import (
     HermitianOperator,
     _nonnegative_spectrum,
@@ -136,32 +139,31 @@ def _checked_total_correlation(S) -> np.ndarray:
     return _check_density(total_correlation(S))
 
 
-def _localization_alc(loc: HermitianOperator, measure: float) -> float:
-    """The ALC read off a localization L = chi_Omega (x) S of trace |Omega|.
+class Localization(NamedTuple):
+    """L = chi_Omega (x) S, the operator of the Omega-augmented dataset times
+    |Omega|, with its ALC, its descending eigenvalues and H_vN(L / |Omega|)."""
 
-    O(d^2): by Parseval, tr(L^2) = ||chi-hat eta_S||^2 / d^3 =
-    (1/d^2) sum_{z,w in Omega} S-tilde(w - z), so ALC = 1 - tr(L^2)/|Omega|,
-    equal to `alc(S-tilde, Omega)` and range-checked as there.  An empty
-    domain (|Omega| = 0) raises ValueError.
+    operator: HermitianOperator
+    alc: float
+    eigenvalues: np.ndarray
+    entropy: float
+
+
+def localize(S, domain: Domain) -> Localization:
+    """L = chi_Omega (x) S, built once, and everything read off it.
+
+    The ALC is 1 - tr(L^2)/|Omega|, O(d^2): by Parseval, tr(L^2) =
+    (1/d^2) sum_{z,w in Omega} S-tilde(w - z), so it equals
+    `alc(S-tilde, Omega)` and is range-checked as there.  L's eigenvalues
+    are solved once; one below -1e-8 min(1, |Omega|) max(1, max lambda)
+    raises ValueError, which is never looser than checking L / |Omega| or L
+    at 1e-8.  An empty domain raises ValueError.
     """
-    if measure <= 0:
-        raise ValueError("domain is empty")
-    return _checked_alc(1.0 - float(np.vdot(loc.matrix, loc.matrix).real) / measure)
-
-
-def _augmented_entropy(loc: HermitianOperator, measure: float) -> float:
-    """H_vN(L / |Omega|) for a localization L of trace |Omega|.
-
-    Positivity is checked on L / |Omega|, as `von_neumann_entropy` would.
-    """
-    w = np.linalg.eigvalsh(loc.matrix)[::-1] / measure
-    return _spectral_entropy(_nonnegative_spectrum(w))
-
-
-def _alc_and_augmented_entropy(S, domain: Domain) -> tuple[float, float]:
-    """(ALC, H_vN(L / |Omega|)) from one localization L = chi_Omega (x) S."""
     loc = mixed_state_localization(domain, S)
-    return _localization_alc(loc, domain.measure), _augmented_entropy(loc, domain.measure)
+    omega = domain.measure
+    a = _checked_alc(1.0 - float(np.vdot(loc.matrix, loc.matrix).real) / omega)
+    w = _positive_eigenvalues(loc, 1e-8 * min(1.0, omega))
+    return Localization(loc, a, w, _spectral_entropy(w / omega))
 
 
 VERDICTS = ("pass", "fail", "vacuous", "inconclusive")
@@ -203,10 +205,11 @@ def _check(name: str, lhs, rhs, tol: float) -> CheckResult:
 def check_bounds(S, domain: Domain) -> list[CheckResult]:
     """Every inequality for one (S, Omega) pair, from one analysis pass.
 
-    S-tilde, ALC, L = chi_Omega (x) S and L's eigenvalues lambda_k (descending)
-    are computed once.  With A_Omega = ceil(|Omega|), T_Omega the projection
-    onto L's top A_Omega eigenvectors, Phi(x) = x - x^2 and f = L (x) S
-    clipped to [0, 1], the results are, in order:
+    S-tilde and `localize(S, Omega)` (L = chi_Omega (x) S, the ALC and L's
+    descending eigenvalues lambda_k) are computed once.  With A_Omega =
+    ceil(|Omega|), T_Omega the projection onto L's top A_Omega eigenvectors,
+    Phi(x) = x - x^2 and f = L (x) S clipped to [0, 1], the results are, in
+    order:
 
     sandwich_lower/_upper  ln|Omega| + ALC <= H_vN(L/|Omega|) <= H(chi/|Omega| * S-tilde)
     entropy_correlation    H_vN(S) <= H(S-tilde)
@@ -219,18 +222,13 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     others 1e-8.
     """
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
-    omega, chi = domain.measure, domain.indicator()
+    omega = domain.measure
     S_tilde = _checked_total_correlation(S)
-    loc = fn_op_convolve(chi, S)
-    a = _localization_alc(loc, omega)  # also rejects an empty domain
-    w = _positive_eigenvalues(loc)
-    A_omega = int(math.ceil(omega - 1e-12))
-
-    mid = _spectral_entropy(w / omega)
-    smoothed = grid_convolve(chi / omega, S_tilde)
+    loc, a, w, mid = localize(S, domain)
+    A_omega, rank_error = _finite_rank(w, omega)
+    smoothed = grid_convolve(domain.indicator() / omega, S_tilde)
     upper = differential_entropy(smoothed)
     tol = 1e-7 * max(1.0, abs(mid))
-    rank_error = float(np.sum(1.0 - w[:A_omega]) + np.sum(w[A_omega:]))
 
     def phi(x):
         return x - x * x

@@ -46,16 +46,13 @@ class TestNormalize:
 
 
 class TestDataSetMatrix:
-    def test_signals_read_only_and_as_matrix_a_writable_copy(self, rng):
+    def test_signals_read_only(self, rng):
         rows = [rand_signal(rng, 8) for _ in range(3)]
         ds = T.DataSet(rows)
         assert ds.signals.shape == (3, 8) and ds.signals.dtype == np.complex128
         assert len(ds) == 3 and ds.d == 8
         with pytest.raises(ValueError):
             ds.signals[0, 0] = 1.0
-        M = ds.as_matrix()
-        assert not np.shares_memory(M, ds.signals)
-        M[0, 0] = 99.0
         assert np.array_equal(ds.signals, np.stack(rows))
         assert all(np.array_equal(f, r) for f, r in zip(ds.signals, rows, strict=True))
 
@@ -88,7 +85,7 @@ class TestDataSetMatrix:
         for _ in range(30):
             n, d = (int(v) for v in rng.integers(1, 300, size=2))
             ds = T.DataSet(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
-            expect = float(sum(np.sum(np.abs(f) ** 2) for f in ds.as_matrix()))
+            expect = float(sum(np.sum(np.abs(f) ** 2) for f in ds.signals))
             assert ds.total_energy() == expect
 
 
@@ -116,8 +113,8 @@ class TestChirps:
         assert abs(np.linalg.norm(ds.signals[0]) - 1.0) < 1e-12
 
     def test_deterministic(self):
-        a = T.gen_chirps(5, 64, seed=7).as_matrix()
-        b = T.gen_chirps(5, 64, seed=7).as_matrix()
+        a = T.gen_chirps(5, 64, seed=7).signals
+        b = T.gen_chirps(5, 64, seed=7).signals
         assert np.array_equal(a, b)
 
     def test_base_frequencies_in_band(self):
@@ -165,8 +162,8 @@ class TestChirps:
             shift = rng.integers(0, d)
             chirp = np.exp(2j * np.pi * (f0 * t + 0.5 * rate * t**2))
             expect.append(chirp * np.roll(env, shift))
-        expect = T.normalize_dataset(T.DataSet(tuple(expect))).as_matrix()
-        got = T.gen_chirps(4, d, seed=11, freq_band=band).as_matrix()
+        expect = T.normalize_dataset(T.DataSet(tuple(expect))).signals
+        got = T.gen_chirps(4, d, seed=11, freq_band=band).signals
         assert np.array_equal(got, expect)
 
 
@@ -247,8 +244,8 @@ class TestTfWeighted:
             assert abs(abs(np.vdot(g, f)) - np.linalg.norm(f)) < 1e-10
 
     def test_deterministic(self):
-        a = T.gen_random_tf_weighted(3, 36, seed=5).as_matrix()
-        b = T.gen_random_tf_weighted(3, 36, seed=5).as_matrix()
+        a = T.gen_random_tf_weighted(3, 36, seed=5).signals
+        b = T.gen_random_tf_weighted(3, 36, seed=5).signals
         assert np.array_equal(a, b)
 
     def test_normalized(self):
@@ -277,6 +274,6 @@ class TestGaussianCombos:
             assert abs(V.max() - 1.0) < 1e-9  # single shifted Gaussian
 
     def test_deterministic(self):
-        a = T.gen_gaussian_combos(5, 36, seed=9).as_matrix()
-        b = T.gen_gaussian_combos(5, 36, seed=9).as_matrix()
+        a = T.gen_gaussian_combos(5, 36, seed=9).signals
+        b = T.gen_gaussian_combos(5, 36, seed=9).signals
         assert np.array_equal(a, b)

@@ -29,21 +29,21 @@ class TestSignalFiles:
         path = tmp_path / "sig.bin"
         write_signals_binary(path, ds)
         back = read_signals_binary(path)
-        assert np.array_equal(back.as_matrix(), ds.as_matrix())
+        assert np.array_equal(back.signals, ds.signals)
 
     def test_csv_round_trip_exact(self, rng, tmp_path):
         ds = rand_dataset(rng, 3, 8)
         path = tmp_path / "sig.csv"
         write_signals_csv(path, ds)
         back = read_signals_csv(path)
-        assert np.array_equal(back.as_matrix(), ds.as_matrix())
+        assert np.array_equal(back.signals, ds.signals)
 
     def test_cross_format_equal(self, rng, tmp_path):
         ds = rand_dataset(rng, 3, 8)
         write_signals_binary(tmp_path / "a.bin", ds)
         write_signals_csv(tmp_path / "a.csv", ds)
-        a = read_signals_binary(tmp_path / "a.bin").as_matrix()
-        b = read_signals_csv(tmp_path / "a.csv").as_matrix()
+        a = read_signals_binary(tmp_path / "a.bin").signals
+        b = read_signals_csv(tmp_path / "a.csv").signals
         assert np.array_equal(a, b)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -81,7 +81,7 @@ class TestSignalFiles:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("ext", [".bin", ".csv"])
     def test_non_finite_rejected(self, rng, tmp_path, ext, value):
-        X = rand_dataset(rng, 2, 8).as_matrix()
+        X = rand_dataset(rng, 2, 8).signals.copy()
         X[1, 3] = value
         path = tmp_path / f"sig{ext}"
         T.write_signals(path, T.DataSet(tuple(X)))
@@ -119,6 +119,32 @@ class TestSignalFiles:
         assert main(["metrics", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and f"lacks a '{field}=<count>' field" in err
+
+    @pytest.mark.parametrize("token", ["0.5x", "0.5#", "0.5 0.5", "", "nan0", '"0.5"', "0x1p0"])
+    def test_csv_malformed_token_exit_2(self, tmp_path, capsys, token):
+        # a token is never truncated to the float it starts with
+        path = tmp_path / "sig.csv"
+        path.write_text(f"# d=2 n=2\n1.0,0.0,0.0,0.0\n0.5,{token},0.0,0.0\n")
+        assert main(["convert", "--in", str(path), "--out", str(tmp_path / "s.bin")]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "s.bin").exists()
+
+    def test_csv_column_count_names_file(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("# d=2 n=2\n1.0,0.0,0.0,0.0\n1.0,0.0,0.0\n")
+        with pytest.raises(ValueError, match=f"{path}: row has 3 columns, expected 4"):
+            read_signals_csv(path)
+
+    def test_csv_reads_random_bit_patterns_exactly(self, rng, tmp_path):
+        # every finite double, subnormals and -0.0 included, reads back bit for bit
+        bits = rng.integers(0, 2**64, size=(40, 64), dtype=np.uint64)
+        parts = bits.view(np.float64)
+        parts[~np.isfinite(parts)] = -0.0
+        parts[0, :4] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        ds = T.DataSet(parts.view(np.complex128))
+        write_signals_csv(tmp_path / "s.csv", ds)
+        back = read_signals_csv(tmp_path / "s.csv").signals
+        assert back.tobytes() == ds.signals.tobytes()
 
 
 class TestDomainJson:
@@ -189,8 +215,8 @@ class TestCli:
         assert main(["augment", "--in", sig, "--rect", "1.2", "1.2", "--out", aug]) == 0
         conv = str(tmp_path / "s.csv")
         assert main(["convert", "--in", sig, "--out", conv]) == 0
-        a = T.read_signals(sig).as_matrix()
-        b = T.read_signals(conv).as_matrix()
+        a = T.read_signals(sig).signals
+        b = T.read_signals(conv).signals
         assert np.array_equal(a, b)
 
     def test_bounds_passes(self, tmp_path, capsys):
@@ -300,7 +326,7 @@ class TestCli:
         assert main(["metrics", "--in", str(tmp_path / "nope.bin")]) == 2
 
     def test_metrics_nan_file_exit_2(self, rng, tmp_path, capsys):
-        X = rand_dataset(rng, 3, 16).as_matrix()
+        X = rand_dataset(rng, 3, 16).signals.copy()
         X[0, 0] = np.nan
         path = tmp_path / "nan.bin"
         T.write_signals(path, T.DataSet(tuple(X)))
@@ -408,6 +434,14 @@ class TestExperimentConfig:
         err = capsys.readouterr().err
         assert "Hermite function of order 199 is not finite at d=280" in err
         assert not (tmp_path / "hermite_mix.csv").exists()
+
+    def test_failed_run_makes_no_directory(self, tmp_path):
+        # the output directory is made only once the runner has returned
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"experiment": "hermite_mix", "d": 280, "n_max": 210}))
+        out = tmp_path / "res"
+        assert main(["experiment", "--config", str(conf), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_hermite_order_at_d_exit_2(self, tmp_path, capsys):
         # hermite_interp needs h_9, so d = 8 has too few orders

@@ -47,20 +47,34 @@ class TestVonNeumannEntropy:
         with pytest.raises(ValueError):
             T.von_neumann_entropy(T.HermitianOperator(np.diag([1.5, -0.5, 0.0, 0.0])))
 
-    @pytest.mark.parametrize("lowest, accepted", [(-1.5e-8, True), (-5e-8, False)])
-    def test_augmented_entropy_checks_normalized_operator(self, lowest, accepted):
-        # a localization L of trace |Omega| = 4: its lowest eigenvalue is
-        # checked on L/|Omega| (-3.75e-9 is roundoff, -1.25e-8 is not), as
-        # von_neumann_entropy(L/|Omega|) checks it
-        loc = T.HermitianOperator(np.diag([1.0, 1.0, 1.0, 1.0, lowest]))
-        if accepted:
-            H = tfaug.metrics._augmented_entropy(loc, 4.0)
-            assert H == pytest.approx(T.von_neumann_entropy(loc.matrix / 4.0), abs=1e-12)
-        else:
-            with pytest.raises(ValueError):
-                tfaug.metrics._augmented_entropy(loc, 4.0)
-            with pytest.raises(ValueError):
-                T.von_neumann_entropy(loc.matrix / 4.0)
+
+class TestLocalize:
+    @pytest.mark.parametrize("measure, lowest, accepted", [
+        (4.0, -0.9e-8, True), (4.0, -1.5e-8, False), (0.4, -3e-9, True), (0.4, -5e-9, False),
+    ])
+    def test_one_clamp_rule(self, monkeypatch, measure, lowest, accepted):
+        # L's lowest eigenvalue is roundoff down to -1e-8 min(1, |Omega|) (L's
+        # eigenvalues are at most 1): -1e-8 at |Omega| = 4, -4e-9 at 0.4
+        d = 5
+        mask = np.arange(d * d).reshape(d, d) < round(measure * d)
+        dom = T.Domain(mask)
+        assert dom.measure == measure
+        top = [1.0, 1.0, 1.0, 1.0] if measure > 1 else [measure, 0.0, 0.0, 0.0]
+        L = T.HermitianOperator(np.diag(top + [lowest]))
+        monkeypatch.setattr(tfaug.metrics, "mixed_state_localization", lambda dom, S: L)
+        if not accepted:
+            with pytest.raises(ValueError, match="not positive"):
+                T.localize(None, dom)
+            return
+        loc = T.localize(None, dom)
+        assert loc.operator is L
+        assert loc.eigenvalues.tolist() == sorted(top, reverse=True) + [0.0]
+        assert loc.entropy == pytest.approx(T.von_neumann_entropy(L.matrix / measure), abs=1e-12)
+        assert loc.alc == pytest.approx(1.0 - sum(t * t for t in top) / measure, abs=1e-15)
+
+    def test_empty_domain_rejected(self, rng):
+        with pytest.raises(ValueError, match="domain is empty"):
+            T.localize(rand_state(rng, 2, 8), T.Domain(np.zeros((8, 8), dtype=bool)))
 
 
 class TestDataOperatorSpectrum:
@@ -295,6 +309,9 @@ class TestCheckBounds:
 
         for name in ("total_correlation", "fn_op_convolve"):
             monkeypatch.setattr(tfaug.metrics, name, counted(name, getattr(tfaug.metrics, name)))
+        # localize reaches fn_op_convolve through mixed_state_localization
+        monkeypatch.setattr(tfaug.augmentation, "fn_op_convolve",
+                            counted("fn_op_convolve", tfaug.augmentation.fn_op_convolve))
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, counted("eigensolves", getattr(np.linalg, name)))
         d = 16

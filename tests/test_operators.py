@@ -92,7 +92,7 @@ class TestDataOperator:
     def test_copies_a_factor_that_a_writable_base_shares(self, rng):
         # DataSet keeps a read-only view uncopied; a write to its base must
         # not reach the factor, or the Gram spectrum would be another S's
-        base = rand_dataset(rng, 3, 16).as_matrix()
+        base = rand_dataset(rng, 3, 16).signals.copy()
         view = base.view()
         view.setflags(write=False)
         ds = T.DataSet(view)
@@ -107,7 +107,7 @@ class TestDataOperator:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_signal(self, rng, value):
         # the result is not tested again, so the norm test must catch it
-        X = rand_dataset(rng, 3, 8).as_matrix()
+        X = rand_dataset(rng, 3, 8).signals.copy()
         X[1, 2] = value
         with pytest.raises(ValueError, match="not normalized"):
             T.data_operator(T.DataSet(X))

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import tfaug as T
-from tfaug.metrics import _alc_and_augmented_entropy, _spectral_entropy
+from tfaug.metrics import _spectral_entropy
 
 from test_operators import fn_op_direct, op_op_direct
 
@@ -47,7 +47,7 @@ def test_normalize_idempotent_and_unit(seed, d, n):
     out = T.normalize_dataset(ds)
     assert abs(out.total_energy() - 1.0) < 1e-12
     twice = T.normalize_dataset(out)
-    assert np.allclose(twice.as_matrix(), out.as_matrix())
+    assert np.allclose(twice.signals, out.signals)
 
 
 @settings(max_examples=30, deadline=None)
@@ -121,10 +121,11 @@ def test_alc_from_localization_matches_alc(seed, d, n):
     if d >= 3:
         mask[0, 1], mask[0, d - 1] = True, False
     dom = T.Domain(mask)
-    a, H_aug = _alc_and_augmented_entropy(S, dom)
-    assert abs(a - T.alc(T.total_correlation(S), dom)) < 1e-12
-    loc = T.mixed_state_localization(dom, S)
-    assert abs(H_aug - T.von_neumann_entropy(loc.matrix / dom.measure)) < 1e-12
+    loc = T.localize(S, dom)
+    assert abs(loc.alc - T.alc(T.total_correlation(S), dom)) < 1e-12
+    L = T.mixed_state_localization(dom, S)
+    assert loc.eigenvalues.tobytes() == np.maximum(np.linalg.eigvalsh(L.matrix)[::-1], 0).tobytes()
+    assert abs(loc.entropy - T.von_neumann_entropy(L.matrix / dom.measure)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
