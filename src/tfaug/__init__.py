@@ -33,6 +33,7 @@ from .metrics import (
     alc,
     asymptotic_alc_scan,
     check_bounds,
+    data_entropy_and_rank,
     differential_entropy,
     effective_dimension,
     entropy_covariance_check,

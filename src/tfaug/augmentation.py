@@ -134,11 +134,12 @@ def mixed_state_localization(domain: Domain, S) -> HermitianOperator:
     """chi_Omega (x) S: the operator of the Omega-augmented dataset.
 
     Positive with trace |Omega| and eigenvalues in [0, 1] for positive
-    trace-one S.
+    trace-one S.  The boolean mask is convolved as the indicator, so a
+    rectangle's transform takes two 1-d FFTs.
     """
     if domain.n_cells == 0:
         raise ValueError("domain is empty")
-    return fn_op_convolve(domain.indicator(), S)
+    return fn_op_convolve(domain.mask, S)
 
 
 def finite_rank_approx(domain: Domain, S):

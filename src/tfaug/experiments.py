@@ -28,7 +28,13 @@ from .datasets import (
     gen_random_tf_weighted,
 )
 from .floattext import float_rows
-from .metrics import _checked_total_correlation, check_bounds, localize, von_neumann_entropy
+from .metrics import (
+    _checked_total_correlation,
+    check_bounds,
+    data_entropy_and_rank,
+    localize,
+    von_neumann_entropy,
+)
 from .operators import (
     HermitianOperator,
     cohen_class,
@@ -266,10 +272,8 @@ def run_chirp_ed(config: ExperimentConfig):
     for N in p["N_values"]:
         for s_i in range(p["n_seeds"]):
             ds = gen_chirps(N, d, seed=config.seed + s_i)
-            S = data_operator(ds)
-            H = von_neumann_entropy(S)
-            H_aug = localize(S, dom).entropy
-            rank = int(np.linalg.matrix_rank(ds.signals))
+            H, rank = data_entropy_and_rank(ds.signals)
+            H_aug = localize(data_operator(ds), dom).entropy
             table.add(N, s_i, rank, H, math.exp(H), H_aug, math.exp(H_aug))
     by_n = {}
     for r in table.rows:

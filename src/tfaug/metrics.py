@@ -26,12 +26,12 @@ import numpy as np
 from .augmentation import Domain, _finite_rank, mixed_state_localization
 from .operators import (
     HermitianOperator,
+    _localization_grids,
     _nonnegative_spectrum,
     fn_op_convolve,
-    op_op_convolve,
     total_correlation,
 )
-from .tf_core import grid_convolve, grid_integrate, signed_indices
+from .tf_core import grid_integrate, signed_indices
 
 
 def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
@@ -64,6 +64,20 @@ def _spectral_entropy(w: np.ndarray) -> float:
 def von_neumann_entropy(A) -> float:
     """H_vN(A) = -sum_k lambda_k ln lambda_k for a trace-one positive A."""
     return _spectral_entropy(_positive_eigenvalues(A))
+
+
+def data_entropy_and_rank(X) -> tuple[float, int]:
+    """(H_vN(S), rank S) for the data operator S = X^T conj(X) of an (N, d)
+    signal matrix X with unit total energy, from one SVD of X.
+
+    S's nonzero eigenvalues are the squared singular values sigma^2 of X;
+    the rank counts sigma > sigma_max max(N, d) eps, `np.linalg.matrix_rank`'s
+    rule, so it equals `matrix_rank(X)`.
+    """
+    X = np.asarray(X)
+    sigma = np.linalg.svd(X, compute_uv=False)
+    tol = sigma.max() * max(X.shape) * np.finfo(sigma.dtype).eps
+    return _spectral_entropy(sigma**2), int(np.count_nonzero(sigma > tol))
 
 
 def effective_dimension(A) -> tuple[float, float]:
@@ -206,8 +220,10 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     """Every inequality for one (S, Omega) pair, from one analysis pass.
 
     S-tilde and `localize(S, Omega)` (L = chi_Omega (x) S, the ALC and L's
-    descending eigenvalues lambda_k) are computed once.  With A_Omega =
-    ceil(|Omega|), T_Omega the projection onto L's top A_Omega eigenvectors,
+    descending eigenvalues lambda_k) are computed once; the smoothed
+    density chi/|Omega| * S-tilde and the symbol L (x) S come from S's
+    spreading function, without spreading L.  With A_Omega = ceil(|Omega|),
+    T_Omega the projection onto L's top A_Omega eigenvectors,
     Phi(x) = x - x^2 and f = L (x) S clipped to [0, 1], the results are, in
     order:
 
@@ -224,16 +240,16 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     omega = domain.measure
     S_tilde = _checked_total_correlation(S)
-    loc, a, w, mid = localize(S, domain)
+    _, a, w, mid = localize(S, domain)
     A_omega, rank_error = _finite_rank(w, omega)
-    smoothed = grid_convolve(domain.indicator() / omega, S_tilde)
-    upper = differential_entropy(smoothed)
+    smoothed, symbol = _localization_grids(domain.mask, S)
+    upper = differential_entropy(smoothed / omega)
     tol = 1e-7 * max(1.0, abs(mid))
 
     def phi(x):
         return x - x * x
 
-    symbol = np.clip(op_op_convolve(loc, S).real, 0.0, 1.0)
+    symbol = np.clip(symbol, 0.0, 1.0)
     int_phi_symbol = grid_integrate(phi(symbol))
     tr_phi_A = float(np.sum(phi(np.clip(w, 0.0, 1.0))))
     w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S))

@@ -14,6 +14,13 @@ S (x) T is the inverse symplectic DFT of a product of spreading functions;
 in particular S-tilde = S (x) S-check is the transform of |eta_S|^2.  A
 HermitianOperator keeps its spreading function, so all transforms of one
 operator share a single one.  The direct sums are test oracles.
+
+F (x) S is Hermitian, so its generalized diagonal -u is the conjugate of
+diagonal u: only rows u = 0..d//2 of its spreading function are inverted,
+and the other half of the matrix is read from their conjugates, which makes
+the result exactly Hermitian.  A boolean grid is a domain indicator; for a
+product set (every rectangle, wrapped ones included) its symplectic DFT is
+the outer product of two 1-d DFTs, O(d log d).
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +37,8 @@ class HermitianOperator:
 
     The one checked constructor, for public and file input; matrices the
     library builds Hermitian take the trusted `_built`, which symmetrizes
-    alike but tests nothing.  The result is exactly Hermitian, its own adjoint.
+    alike but tests nothing, or `_exact` when they are built exactly
+    Hermitian already.  The result is exactly Hermitian, its own adjoint.
     A data operator S = X^T conj(X) also keeps its (N, d) factor X in
     `_factor`, which marks it positive by construction.  Only
     `data_operator` sets it, and only to a read-only X whose memory nothing
@@ -55,8 +63,14 @@ class HermitianOperator:
     @classmethod
     def _built(cls, A: np.ndarray, factor: np.ndarray | None = None) -> "HermitianOperator":
         """A complex matrix the library built Hermitian: symmetrized, not tested."""
+        return cls._exact(_symmetrized(A), factor)
+
+    @classmethod
+    def _exact(cls, A: np.ndarray, factor: np.ndarray | None = None) -> "HermitianOperator":
+        """A read-only complex matrix the library built equal to its adjoint
+        bit for bit: kept as it is."""
         op = object.__new__(cls)
-        object.__setattr__(op, "matrix", _symmetrized(A))
+        object.__setattr__(op, "matrix", A)
         object.__setattr__(op, "_factor", factor)
         return op
 
@@ -175,6 +189,59 @@ def from_spreading(eta: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
+def _half_diagonal_index(d: int) -> np.ndarray:
+    """Flat gather index for a Hermitian matrix from its diagonals u = 0..d//2.
+
+    The source is the array [D, conj(D)] of shape (2, d//2 + 1, d), with
+    D[u, x] = M[x, x - u mod d].  Entry (x, y) with lag u = x - y mod d is
+    read from D[u, x] when u <= d/2, and from conj(D)[d - u, y] otherwise,
+    as M[x, y] = conj(M[y, x]).  Built once per d (the most recent 8 sizes
+    are kept) and read-only.
+    """
+    x = np.arange(d)[:, None]
+    y = np.arange(d)
+    u = (x - y) % d
+    index = np.where(2 * u <= d, u * d + x, (d // 2 + 1 + d - u) * d + y).ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _hermitian_from_spreading(eta: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian, read-only d x d matrix whose spreading function
+    is eta, which must be that of a Hermitian matrix up to roundoff.
+
+    Only rows u = 0..d//2 of eta are read (it may hold just those).  Their
+    inverse DFTs are the diagonals u, and the conjugates of the diagonals
+    fill the mirror diagonals -u; the main diagonal is set real and, for
+    even d, diagonal d/2, its own mirror image, is made Hermitian with itself.
+    """
+    d = eta.shape[1]
+    source = np.empty((2, d // 2 + 1, d), dtype=complex)
+    diagonals = source[0]
+    diagonals[...] = np.fft.ifft(eta[: d // 2 + 1], axis=1)
+    diagonals[0].imag = 0.0
+    if d % 2 == 0:
+        np.conj(diagonals[-1, : d // 2], out=diagonals[-1, d // 2 :])
+    np.conj(diagonals, out=source[1])
+    out = source.reshape(-1).take(_half_diagonal_index(d)).reshape(d, d)
+    out.setflags(write=False)
+    return out
+
+
+def _indicator_fft(mask: np.ndarray) -> np.ndarray:
+    """Symplectic DFT of the indicator of a boolean mask.
+
+    A product set, mask = outer(mask.any(1), mask.any(0)), has the
+    transform outer(d ifft(cols), fft(rows)), O(d log d) plus the outer
+    product; any other mask takes the 2-d route.
+    """
+    rows, cols = mask.any(axis=1), mask.any(axis=0)
+    if np.array_equal(mask, np.outer(rows, cols)):
+        return np.outer(np.fft.ifft(cols) * mask.shape[0], np.fft.fft(rows))
+    return _symplectic_fft(mask)
+
+
 def _symplectic_fft(F: np.ndarray) -> np.ndarray:
     """F-hat[u, k] = sum_{m,n} F[m, n] exp(2 pi i (n u - k m) / d)."""
     return np.fft.fft(np.fft.ifft(F, axis=1) * F.shape[0], axis=0).T
@@ -191,8 +258,10 @@ def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
     F (x) S = (1/d) sum_{m,n} F(m,n) alpha_{(m,n)}(S).  Positive for F >= 0
     and S positive; tr(F (x) S) = grid_integrate(F) tr(S).
 
-    Evaluated as from_spreading(F-hat eta_S) / d, O(d^2 log d).  A raw S is
-    checked Hermitian and F finite; the result is Hermitian by construction.
+    Evaluated as the matrix with spreading function F-hat eta_S / d, built
+    exactly Hermitian from half its diagonals, O(d^2 log d).  A boolean F is
+    a domain indicator, transformed in O(d log d) when it is a product set.
+    A raw S is checked Hermitian and F finite.
     """
     F = np.asarray(F)
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
@@ -203,7 +272,32 @@ def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
         raise ValueError("grid function must be real")
     if not np.isfinite(F).all():
         raise ValueError("grid function must be finite")
-    return HermitianOperator._built(from_spreading(_symplectic_fft(F) * spreading(S)) / d)
+    F_hat = _indicator_fft(F) if F.dtype == bool else _symplectic_fft(F)
+    half = slice(0, d // 2 + 1)  # the rows a Hermitian result is built from
+    eta = _convolved_spreading(F_hat[half], spreading(S)[half])
+    return HermitianOperator._exact(_hermitian_from_spreading(eta))
+
+
+def _convolved_spreading(F_hat: np.ndarray, eta_S: np.ndarray) -> np.ndarray:
+    """The spreading function of F (x) S, F-hat eta_S / d, on whichever rows
+    of F-hat and eta_S are given."""
+    eta = F_hat * eta_S
+    eta /= eta_S.shape[1]
+    return eta
+
+
+def _localization_grids(mask: np.ndarray, S: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """For L = chi (x) S, chi the indicator of a boolean mask: the grids
+    chi * S-tilde and L (x) S, from one chi-hat and S's spreading function.
+
+    chi * S-tilde is the inverse symplectic DFT of conj(chi-hat) |eta_S|^2,
+    and L (x) S takes eta_L = chi-hat eta_S / d as `fn_op_convolve` forms it,
+    so L is not spread.
+    """
+    chi_hat, eta_S = _indicator_fft(mask), spreading(S)
+    density = _inverse_symplectic_fft(np.conj(chi_hat) * np.abs(eta_S) ** 2).real / S.d
+    symbol = _spreading_correlation(_convolved_spreading(chi_hat, eta_S), eta_S).real
+    return density, symbol
 
 
 def op_op_convolve(S, T) -> np.ndarray:
@@ -223,8 +317,14 @@ def op_op_convolve(S, T) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {d} vs {B.shape[0]}")
     typed_S, typed_T = isinstance(S, HermitianOperator), isinstance(T, HermitianOperator)
     eta_adjoint = spreading(S) if typed_S else spreading(A.conj().T)
-    out = _inverse_symplectic_fft(np.conj(eta_adjoint) * grid_reflect(spreading(T)))
+    out = _spreading_correlation(eta_adjoint, spreading(T))
     return np.ascontiguousarray(out.real) if typed_S and typed_T else out
+
+
+def _spreading_correlation(eta_adjoint: np.ndarray, eta_T: np.ndarray) -> np.ndarray:
+    """S (x) T from eta_{S^*} and eta_T: the inverse symplectic DFT of
+    conj(eta_{S^*}) eta_{T-check}."""
+    return _inverse_symplectic_fft(np.conj(eta_adjoint) * grid_reflect(eta_T))
 
 
 def _clamp_nonnegative(out) -> np.ndarray:

@@ -26,3 +26,9 @@ def rand_state(rng, n, d):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def disk_mask(d, R):
+    """The cells z with |z| <= R in phase units, around the origin."""
+    k = T.tf_core.signed_indices(d) / np.sqrt(d)
+    return k[:, None] ** 2 + k[None, :] ** 2 <= R * R

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -6,10 +7,17 @@ import pytest
 import tfaug as T
 import tfaug.metrics
 import tfaug.operators
-from tfaug.operators import operator_shift, parity, spreading
+from tfaug.operators import (
+    _indicator_fft,
+    _symplectic_fft,
+    from_spreading,
+    operator_shift,
+    parity,
+    spreading,
+)
 from tfaug.tf_core import grid_reflect
 
-from conftest import rand_dataset, rand_signal, rand_state, rand_unit
+from conftest import disk_mask, rand_dataset, rand_signal, rand_state, rand_unit
 
 
 def fn_op_direct(F, S):
@@ -190,6 +198,109 @@ class TestFnOpConvolve:
         out = T.fn_op_convolve(F, S)
         L1 = T.grid_integrate(np.abs(F))
         assert trace_norm(out.matrix) <= L1 * trace_norm(S.matrix) + 1e-9
+
+
+def l_shape_mask(d):
+    """Two overlapping bars: a union of rectangles that is no product set."""
+    mask = np.zeros((d, d), dtype=bool)
+    mask[: d // 2, :2] = True
+    mask[:2, : d // 2] = True
+    return mask
+
+
+class TestIndicatorTransform:
+    def product_masks(self, d):
+        side = math.sqrt(d)
+        centers = [(0.0, 0.0), (side / 2, -side / 2 + 0.1), (-0.4 * side, 0.3 * side)]
+        return [T.full_domain(d).mask, T.make_cells_domain(d, [(d // 3, d - 1)]).mask] + [
+            T.make_rect_domain(d, side / 3, side / 2, c).mask for c in centers
+        ]
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 16, 33, 64, 280])
+    def test_product_sets_match_the_2d_transform(self, d, monkeypatch):
+        two_d = []
+        monkeypatch.setattr(tfaug.operators, "_symplectic_fft", two_d.append)
+        for mask in self.product_masks(d):
+            # centers near the edge wrap around, and the set stays a product
+            assert np.array_equal(mask, np.outer(mask.any(1), mask.any(0)))
+            fast = _indicator_fft(mask)
+            # chi-hat peaks at chi-hat(0) = the number of cells
+            scale = float(mask.sum())
+            assert np.max(np.abs(fast - _symplectic_fft(mask.astype(float)))) <= 1e-15 * scale
+        assert two_d == []
+
+    @pytest.mark.parametrize("d", [7, 16, 64])
+    def test_other_masks_take_the_2d_route(self, d, monkeypatch):
+        two_d = []
+
+        def counted(F):
+            two_d.append(F)
+            return _symplectic_fft(F)
+
+        monkeypatch.setattr(tfaug.operators, "_symplectic_fft", counted)
+        for mask in (l_shape_mask(d), disk_mask(d, 0.4 * math.sqrt(d))):
+            assert not np.array_equal(mask, np.outer(mask.any(1), mask.any(0)))
+            assert np.array_equal(_indicator_fft(mask), _symplectic_fft(mask))
+            assert two_d.pop() is mask and not two_d
+
+    def test_boolean_grid_is_the_indicator(self, rng):
+        d = 16
+        S = rand_state(rng, 3, d)
+        for mask in (T.make_rect_domain(d, 2.0, 1.5, (1.8, -1.9)).mask, l_shape_mask(d)):
+            L = T.fn_op_convolve(mask, S).matrix
+            assert np.max(np.abs(L - fn_op_direct(mask.astype(float), S.matrix))) < 1e-10
+
+
+class TestHermitianBuild:
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16])
+    def test_exactly_hermitian_and_matches_direct(self, rng, d):
+        S = rand_state(rng, 3, d)
+        F = rng.standard_normal((d, d))
+        L = T.fn_op_convolve(F, S).matrix
+        assert np.array_equal(L, L.conj().T) and not L.flags.writeable
+        # every entry of (1/d) sum_z F(z) alpha_z(S) is at most this
+        scale = np.abs(F).sum() / d * np.abs(S.matrix).max()
+        assert np.max(np.abs(L - fn_op_direct(F, S.matrix))) <= 1e-15 * scale
+
+    def test_exactly_hermitian_at_experiment_size(self):
+        d = 280
+        S = T.data_operator(T.gen_chirps(50, d, seed=0))
+        eta = spreading(S)
+        for mask in (T.make_rect_domain(d, 3.0, 2.0, (7.5, -8.0)).mask, disk_mask(d, 2.0)):
+            L = T.fn_op_convolve(mask, S).matrix
+            assert np.array_equal(L, L.conj().T)
+            # the full inverse transform, every diagonal, as the reference
+            full = from_spreading(_symplectic_fft(mask.astype(float)) * eta / d)
+            scale = mask.sum() / d * np.abs(S.matrix).max()
+            assert np.max(np.abs(L - full)) <= 1e-15 * scale
+
+    def test_half_index_built_once_per_d(self):
+        index = tfaug.operators._half_diagonal_index
+        index.cache_clear()
+        src = index(6)
+        assert index(6) is src and not src.flags.writeable
+        # [D, conj(D)] holds lags u = 0..3, so entry (x, y) with lag 4 or 5 is
+        # the conjugate of D[6 - u, y]
+        part, u, x = np.unravel_index(src, (2, 4, 6))
+        lag = (np.arange(6)[:, None] - np.arange(6)) % 6
+        assert np.array_equal(part.reshape(6, 6), lag > 3)
+        assert np.array_equal(u.reshape(6, 6), np.minimum(lag, 6 - lag))
+        assert np.array_equal(x.reshape(6, 6), np.where(lag > 3, np.arange(6), np.arange(6)[:, None]))
+
+
+class TestLocalizationGrids:
+    @pytest.mark.parametrize("d", [7, 8, 16])
+    def test_match_the_grid_and_operator_convolutions(self, rng, d):
+        S = rand_state(rng, 3, d)
+        S_tilde = T.total_correlation(S)
+        off_center = T.make_rect_domain(d, 0.4 * math.sqrt(d), 0.3 * math.sqrt(d), (1.1, -0.7))
+        for mask in (off_center.mask, l_shape_mask(d)):
+            density, symbol = tfaug.operators._localization_grids(mask, S)
+            chi = mask.astype(float)
+            # neither mask is symmetric under z -> -z, so a reflected density fails
+            assert np.max(np.abs(density - T.grid_convolve(chi, S_tilde))) < 1e-14
+            L = T.fn_op_convolve(mask, S)
+            assert np.max(np.abs(symbol - T.op_op_convolve(L, S))) < 1e-14
 
 
 class TestOpOpConvolve:
@@ -437,17 +548,21 @@ class TestHermitianOperator:
 
     def test_spreading_computed_once(self, rng, monkeypatch):
         calls = []
-        diagonal_index = tfaug.operators._diagonal_index
 
-        def counted(d):
-            calls.append(d)
-            return diagonal_index(d)
+        def counted(name):
+            index = getattr(tfaug.operators, name)
 
-        monkeypatch.setattr(tfaug.operators, "_diagonal_index", counted)
+            def wrapper(d):
+                calls.append(name)
+                return index(d)
+            return wrapper
+
+        for name in ("_diagonal_index", "_half_diagonal_index"):
+            monkeypatch.setattr(tfaug.operators, name, counted(name))
         S = rand_state(rng, 3, 12)
         chi = T.make_rect_domain(12, 2.0, 1.5).indicator()
         T.total_correlation(S)
         T.fn_op_convolve(chi, S)
         T.fn_op_convolve(chi, S)
-        # one spreading of S, then one from_spreading per convolution
-        assert len(calls) == 3
+        # one spreading of S, then one half-diagonal build per convolution
+        assert calls == ["_diagonal_index"] + 2 * ["_half_diagonal_index"]
