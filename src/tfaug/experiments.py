@@ -424,8 +424,8 @@ def run_hermite_mix(config: ExperimentConfig):
     table = ResultTable(["n", "H_single", "H_accumulated"], _meta(config))
     for n in range(1, n_max + 1):
         hn = fam[:, n - 1]
-        S_single = HermitianOperator(tensor_product(hn, hn))
-        S_accum = HermitianOperator(fam[:, :n] @ fam[:, :n].conj().T / n)
+        S_single = HermitianOperator._built(tensor_product(hn, hn))
+        S_accum = HermitianOperator._built(fam[:, :n] @ fam[:, :n].conj().T / n)
         table.add(n, localize(S_single, dom).entropy, localize(S_accum, dom).entropy)
     crossover = next((r[0] for r in table.rows if r[2] <= r[1]), None)
     report = {"crossover_n": crossover, "domain_measure": dom.measure}

@@ -26,6 +26,7 @@ import numpy as np
 from .augmentation import Domain, _finite_rank, mixed_state_localization
 from .operators import (
     HermitianOperator,
+    _check_positive,
     _localization_grids,
     _nonnegative_spectrum,
     fn_op_convolve,
@@ -236,6 +237,14 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
 
     The entropy checks use the tolerance 1e-7 max(1, |H_vN(L/|Omega|)|), the
     others 1e-8.
+
+    L is the pair's one d x d eigensolve (S's entropy solves the N x N Gram
+    matrix when N <= 3d/4).  A = f (x) S needs no spectrum: f in [0, 1] and
+    tr S = 1 give 0 <= A <= I, so tr Phi(A) = tr A - tr A^2.  Its positivity
+    is certified by a Cholesky factorization of A + tau I with
+    tau = 1e-8 max(1, max_i A_ii), which is never looser than the eigenvalue
+    test at 1e-8 max(1, max |lambda|), as max_i A_ii <= lambda_max; only if
+    it fails is A solved, and an eigenvalue below that bound raises ValueError.
     """
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     omega = domain.measure
@@ -252,8 +261,9 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     symbol = np.clip(symbol, 0.0, 1.0)
     int_phi_symbol = grid_integrate(phi(symbol))
     tr_phi_A = float(np.sum(phi(np.clip(w, 0.0, 1.0))))
-    w_fS = _positive_eigenvalues(fn_op_convolve(symbol, S))
-    tr_phi_fS = float(np.sum(phi(np.clip(w_fS, 0.0, 1.0))))
+    fS = fn_op_convolve(symbol, S).matrix
+    _check_positive(fS, 1e-8)
+    tr_phi_fS = float(np.trace(fS).real - np.vdot(fS, fS).real)
 
     moment = grid_integrate(S_tilde * _centered_distance_grid(domain.d))
     perimeter = _check("perimeter", a, domain.perimeter / omega * moment, 1e-8)

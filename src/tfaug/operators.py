@@ -347,19 +347,20 @@ def _nonnegative_spectrum(w: np.ndarray, clamp_tolerance: float = 1e-8) -> np.nd
     return np.maximum(w, 0.0)
 
 
-def _check_positive(A: np.ndarray) -> None:
+def _check_positive(A: np.ndarray, tol: float = 1e-10) -> None:
     """Raise unless the Hermitian matrix A has no eigenvalue below
-    -1e-10 max(1, max |lambda|).  A Cholesky factorization of A + tau I with
-    tau = 1e-10 max(1, max_i A_ii) accepts at a fraction of an eigensolve's
+    -tol max(1, max |lambda|).  A Cholesky factorization of A + tau I with
+    tau = tol max(1, max_i A_ii) accepts at a fraction of an eigensolve's
     cost, and never more loosely, as max_i A_ii <= lambda_max; only when it
-    fails are the eigenvalues computed."""
+    fails are the eigenvalues computed, and checked as `_nonnegative_spectrum`
+    checks them."""
     if not len(A):
         return
-    tau = 1e-10 * max(1.0, float(A.diagonal().real.max()))
+    tau = tol * max(1.0, float(A.diagonal().real.max()))
     try:
         np.linalg.cholesky(A + tau * np.eye(len(A)))
     except np.linalg.LinAlgError:
-        _nonnegative_spectrum(np.linalg.eigvalsh(A)[::-1], 1e-10)
+        _nonnegative_spectrum(np.linalg.eigvalsh(A)[::-1], tol)
 
 
 def total_correlation(S) -> np.ndarray:

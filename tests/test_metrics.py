@@ -334,6 +334,34 @@ class TestLemmaAndFiniteRank:
         assert np.sum(w * (1 - w)) <= -np.sum(nz * np.log(nz)) + 1e-9
 
 
+class TestBerezinLiebUpperSide:
+    """tr Phi(f (x) S), Phi(x) = x - x^2, is read from tr A - tr A^2 with
+    A = f (x) S; the oracle takes it from A's eigenvalues."""
+
+    @staticmethod
+    def domains(d):
+        side = math.sqrt(d)
+        centred = T.make_rect_domain(d, 0.4 * side, 0.3 * side)
+        wrapped = T.make_rect_domain(d, side / 3, side / 2, (side / 2, -side / 2 + 0.1))
+        k = T.tf_core.signed_indices(d)
+        # the wrapped rectangle straddles the seam of the centred coordinates
+        assert wrapped.mask[k.argmin()].any() and wrapped.mask[k.argmax()].any()
+        disk = disk_mask(d, 0.4 * side)
+        assert not np.array_equal(disk, np.outer(disk.any(1), disk.any(0)))
+        return centred, wrapped, T.Domain(disk)
+
+    @pytest.mark.parametrize("d", [7, 8, 16, 32])
+    def test_matches_the_eigenvalue_oracle(self, rng, d):
+        S = rand_state(rng, 3, d)
+        for dom in self.domains(d):
+            symbol = T.op_op_convolve(T.mixed_state_localization(dom, S), S)
+            fS = T.fn_op_convolve(np.clip(symbol, 0.0, 1.0), S)
+            w = np.clip(np.linalg.eigvalsh(fS.matrix), 0.0, 1.0)
+            expected = float(np.sum(w - w * w))
+            upper = checks(S, dom)["general_berezin_lieb_upper"]
+            assert abs(upper.rhs - expected) < 1e-12
+
+
 class TestCheckBounds:
     def test_one_analysis_pass(self, rng, monkeypatch):
         calls = Counter()
@@ -372,6 +400,21 @@ class TestCheckBounds:
         T.check_bounds(S, dom)
         # the symbol L (x) S takes eta_L = chi-hat eta_S / d, not a spreading of L
         assert len(spread) == 1 and spread[0] is S.matrix
+
+    def test_one_d_by_d_eigensolve_per_pair(self, rng, monkeypatch):
+        # L is the one d x d eigenproblem; S's entropy solves its N x N Gram
+        # matrix, and f (x) S is only factorized, by the positivity certificate
+        n, d = 5, 16
+        shapes = {"eigvalsh": [], "cholesky": []}
+        for name, calls in shapes.items():
+            def recorded(M, fn=getattr(np.linalg, name), calls=calls):
+                calls.append(M.shape)
+                return fn(M)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        S = T.data_operator(rand_dataset(rng, n, d))
+        T.check_bounds(S, T.make_rect_domain(d, 2.0, 1.5))
+        assert sorted(shapes["eigvalsh"]) == [(n, n), (d, d)]
+        assert shapes["cholesky"] == [(d, d)]
 
     def test_distance_grid_built_once_per_d(self):
         grid = tfaug.metrics._centered_distance_grid

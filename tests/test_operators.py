@@ -41,6 +41,17 @@ def op_op_direct(A, B):
     return out
 
 
+def trace_one_with_lowest(rng, d, lowest):
+    """A random trace-one matrix, Hermitian up to roundoff, with the smallest
+    eigenvalue lowest and the others in (0, 1)."""
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    w = rng.random(d) + 0.5
+    w[0] = 0.0
+    w *= (1.0 - lowest) / w.sum()
+    w[0] = lowest
+    return (V * w) @ V.conj().T
+
+
 def trace_norm(M):
     return float(np.sum(np.linalg.svd(M, compute_uv=False)))
 
@@ -427,18 +438,26 @@ class TestTotalCorrelation:
     def test_positivity_tolerance(self, rng, lowest, accepted):
         # trace one, lambda_max < 1: the bound is -1e-10 on either side of the
         # Cholesky shortcut
-        d = 8
-        V, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        w = rng.random(d) + 0.5
-        w[0] = 0.0
-        w *= (1.0 - lowest) / w.sum()
-        w[0] = lowest
-        S = (V * w) @ V.conj().T
+        S = trace_one_with_lowest(rng, 8, lowest)
         if accepted:
             assert np.isfinite(T.total_correlation(S)).all()
         else:
             with pytest.raises(ValueError, match="not positive"):
                 T.total_correlation(S)
+
+
+class TestPositivityCertificate:
+    @pytest.mark.parametrize("lowest, accepted", [(-2e-8, False), (-5e-9, True)])
+    def test_boundary_at_tolerance(self, rng, lowest, accepted):
+        # lambda_max < 1, so the bound is -1e-8 both for the Cholesky
+        # certificate and for the eigenvalue test it falls back to
+        A = trace_one_with_lowest(rng, 8, lowest)
+        A = 0.5 * (A + A.conj().T)
+        if accepted:
+            tfaug.operators._check_positive(A, 1e-8)
+        else:
+            with pytest.raises(ValueError, match="not positive: min eigenvalue -2.000e-08"):
+                tfaug.operators._check_positive(A, 1e-8)
 
 
 class TestCohenClass:
