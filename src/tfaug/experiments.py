@@ -27,7 +27,7 @@ from .datasets import (
     gen_local_components,
     gen_random_tf_weighted,
 )
-from .floattext import float_rows
+from .floattext import float_chunks
 from .metrics import (
     _checked_total_correlation,
     check_bounds,
@@ -158,9 +158,11 @@ class ResultTable:
     """Rectangular numeric table with a reproducibility metadata header.
 
     `add` appends a mixed row (a tuple of str, int, bool, None or float);
-    `add_grid` appends a real grid as one float64 block, which `to_csv`
-    writes in one pass with `floattext.float_rows`.  `rows` holds the
-    mixed rows and the blocks in order; `len(table)` counts CSV rows.
+    `add_grid` appends a real grid as one C-ordered float64 block, whose
+    text `floattext.float_chunks` formats a chunk at a time.  `write`
+    streams those chunks to the file, so its memory does not grow with the
+    text; `to_csv` is their join.  `rows` holds the mixed rows and the
+    blocks in order; `len(table)` counts CSV rows.
     """
 
     def __init__(self, columns, metadata=None):
@@ -181,7 +183,7 @@ class ResultTable:
                 f"got {G.dtype} of shape {G.shape}"
             )
         if len(G):
-            self.rows.append(np.array(G, dtype=np.float64))
+            self.rows.append(np.array(G, dtype=np.float64, order="C"))
 
     def __len__(self) -> int:
         return sum(len(row) if isinstance(row, np.ndarray) else 1 for row in self.rows)
@@ -198,18 +200,27 @@ class ResultTable:
             return str(int(v))
         return repr(float(v))
 
-    def to_csv(self) -> str:
+    def _chunks(self):
+        """The CSV text as UTF-8 bytes: the header, then each mixed row and each
+        `floattext.float_chunks` chunk of a block, every CSV line ending in '\\n'."""
         lines = [f"# {k}={v}" for k, v in sorted(self.metadata.items())]
         lines.append(",".join(self.columns))
+        yield ("\n".join(lines) + "\n").encode()
         for row in self.rows:
             if isinstance(row, np.ndarray):
-                lines.append(float_rows(row))
+                yield from float_chunks(row)
+                yield b"\n"
             else:
-                lines.append(",".join(self._fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+                yield (",".join(self._fmt(v) for v in row) + "\n").encode()
+
+    def to_csv(self) -> str:
+        return b"".join(self._chunks()).decode()
 
     def write(self, path) -> None:
-        Path(path).write_text(self.to_csv())
+        """Write the CSV text chunk by chunk: the file holds `to_csv()` encoded,
+        and no more than one chunk of it is in memory at a time."""
+        with open(path, "wb") as fh:
+            fh.writelines(self._chunks())
 
 
 def _meta(config: ExperimentConfig) -> dict:

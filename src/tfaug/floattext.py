@@ -1,6 +1,8 @@
-"""Exact float text for whole grids: `repr` of every value in one numpy pass.
+"""Exact float text for whole grids: `repr` of every value, one numpy pass per
+chunk of values.
 
-`float_rows(X)` writes a real 2-d float64 array as CSV text, each value
+`float_chunks(X)` streams a real 2-d float64 array as CSV text, chunk by
+chunk as ASCII bytes, and `float_rows(X)` joins that stream; each value is
 byte for byte `repr(float(v))`: the shortest decimal that reads back to the
 same double, the one nearest to it when several are that short.  The
 digits come from Schubfach (R. Giulietti, "The Schubfach way to render
@@ -11,6 +13,8 @@ Java keeps at least two digits (its `s >= 100` guard and its rescale of
 the three smallest subnormals); `repr` keeps the shortest, so the guard is
 `s >= 10` and there is no rescale (`8e-323`, not `7.9e-323`).
 """
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -186,25 +190,31 @@ def _tokens(x, sep, chars):
     return chars.ravel().take(index)
 
 
-def float_rows(X) -> str:
-    """Rows of the real 2-d float64 array X as text: each value `repr(float(v))`
-    (-0.0, nan, inf, 5e-324 and 1e+16 included), values joined by ',' within
-    a row and rows by '\\n'."""
+def float_chunks(X) -> Iterator[bytes]:
+    """The text of `float_rows(X)` as ASCII bytes, one chunk of at most
+    _CHUNK values at a time, so a writer holds one chunk's text, not the
+    whole grid's.  X is checked when the first chunk is asked for."""
     X = np.asarray(X)
     if X.ndim != 2 or X.dtype != np.float64:
         raise ValueError(f"expected a 2-d float64 array, got {X.dtype} of shape {X.shape}")
     rows, cols = X.shape
     if cols == 0:
-        return "\n" * max(rows - 1, 0)
+        yield b"\n" * max(rows - 1, 0)
+        return
     flat = np.ascontiguousarray(X).ravel()
     sep = np.full(flat.size, ord(","), dtype=np.uint8)
     sep[cols - 1 :: cols] = ord("\n")
     sep[-1:] = 0
     chars = np.empty((min(flat.size, _CHUNK), _TABLE_WIDTH), dtype=np.uint8)
     chars[:, _COMMON : _PAD + 1] = np.frombuffer(_COMMON_TEXT, np.uint8)
-    text = []
     for i in range(0, flat.size, _CHUNK):
         tokens = _tokens(flat[i : i + _CHUNK], sep[i : i + _CHUNK], chars)
         # bytes of a fixed-width string lose their trailing 0 bytes in tolist
-        text.append(b"".join(tokens.view(f"S{_WIDTH}").ravel().tolist()))
-    return b"".join(text).decode("ascii")
+        yield b"".join(tokens.view(f"S{_WIDTH}").ravel().tolist())
+
+
+def float_rows(X) -> str:
+    """Rows of the real 2-d float64 array X as text: each value `repr(float(v))`
+    (-0.0, nan, inf, 5e-324 and 1e+16 included), values joined by ',' within
+    a row and rows by '\\n'.  The join of `float_chunks(X)`."""
+    return b"".join(float_chunks(X)).decode("ascii")

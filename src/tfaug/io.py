@@ -4,10 +4,10 @@ Binary format: little-endian, magic "QHA1", u32 d, u32 N, then N*d
 complex samples as (f64 real, f64 imag) pairs, which is the memory of the
 dataset's (N, d) complex128 matrix; it is written and read as one block.
 CSV alternative: one signal per row with 2d interleaved re,im columns and a
-header row "# d=<d> n=<N>"; each value's text is `repr`, written for the
-whole matrix in one pass by `floattext.float_rows`.  Round trips are bit
-exact.  The readers reject a file that holds a NaN or an inf, or an empty
-signal.
+header row "# d=<d> n=<N>"; each value's text is `repr`, formatted by
+`floattext.float_chunks` and written chunk by chunk, so the writer never
+holds the whole text.  Round trips are bit exact.  The readers reject a
+file that holds a NaN or an inf, or an empty signal.
 """
 
 import json
@@ -19,7 +19,7 @@ import numpy as np
 
 from .augmentation import Domain, full_domain, make_cells_domain, make_rect_domain
 from .datasets import DataSet
-from .floattext import float_rows
+from .floattext import float_chunks
 
 MAGIC = b"QHA1"
 
@@ -56,9 +56,11 @@ def read_signals_binary(path) -> DataSet:
 def write_signals_csv(path, dataset: DataSet) -> None:
     N, d = dataset.signals.shape
     # the C-ordered complex128 rows viewed as re0, im0, re1, im1, ... floats
-    text = float_rows(dataset.signals.view(np.float64))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# d={d} n={N}\n{text}\n")
+    values = dataset.signals.view(np.float64)
+    with open(path, "wb") as fh:
+        fh.write(f"# d={d} n={N}\n".encode())
+        fh.writelines(float_chunks(values))
+        fh.write(b"\n")
 
 
 def read_signals_csv(path) -> DataSet:

@@ -35,10 +35,11 @@ from .tf_core import grid_reflect
 class HermitianOperator:
     """A finite d x d Hermitian matrix, checked and symmetrized on construction.
 
-    The one checked constructor, for public and file input; matrices the
-    library builds Hermitian take the trusted `_built`, which symmetrizes
-    alike but tests nothing, or `_exact` when they are built exactly
-    Hermitian already.  The result is exactly Hermitian, its own adjoint.
+    The one checked constructor, for public and file input, symmetrizes
+    into a new matrix; matrices the library builds Hermitian take the
+    trusted `_built`, which symmetrizes its fresh matrix in place and tests
+    nothing, or `_exact` when they are built exactly Hermitian already.
+    The result is exactly Hermitian, its own adjoint.
     A data operator S = X^T conj(X) also keeps its (N, d) factor X in
     `_factor`, which marks it positive by construction.  Only
     `data_operator` sets it, and only to a read-only X whose memory nothing
@@ -62,8 +63,9 @@ class HermitianOperator:
 
     @classmethod
     def _built(cls, A: np.ndarray, factor: np.ndarray | None = None) -> "HermitianOperator":
-        """A complex matrix the library built Hermitian: symmetrized, not tested."""
-        return cls._exact(_symmetrized(A), factor)
+        """A fresh matrix the library built Hermitian and holds nowhere else:
+        symmetrized in place, in its own C order, and not tested."""
+        return cls._exact(_symmetrized(A, out=A), factor)
 
     @classmethod
     def _exact(cls, A: np.ndarray, factor: np.ndarray | None = None) -> "HermitianOperator":
@@ -89,9 +91,11 @@ class HermitianOperator:
         return eta
 
 
-def _symmetrized(A: np.ndarray) -> np.ndarray:
-    """(A + A^*) / 2, read-only: exactly Hermitian, so eigvalsh reads either triangle."""
-    sym = 0.5 * (A + A.conj().T)
+def _symmetrized(A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(A + A^*) / 2, read-only: exactly Hermitian, so eigvalsh reads either
+    triangle.  Written into out (A itself for a fresh A), or a new array."""
+    sym = np.add(A, A.conj().T, out=out)
+    sym *= 0.5
     sym.setflags(write=False)
     return sym
 
@@ -118,6 +122,8 @@ def _is_frozen(X: np.ndarray) -> bool:
 def data_operator(dataset) -> HermitianOperator:
     """S = sum_i f_i (x) f_i for a normalized dataset (trace 1).
 
+    S is the product X^T conj(X), symmetrized in place, so it stays
+    C-ordered and needs one d x d temporary (its conjugate) besides S.
     S keeps the dataset's read-only (N, d) signal matrix X as its factor, so
     spectral functions can solve the N x N Gram matrix conj(X) X^T, which has
     the same nonzero eigenvalues, when N < d.  X is kept uncopied when no
@@ -229,17 +235,19 @@ def _hermitian_from_spreading(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _indicator_fft(mask: np.ndarray) -> np.ndarray:
-    """Symplectic DFT of the indicator of a boolean mask.
+def _indicator_fft(mask: np.ndarray, n_rows: int | None = None) -> np.ndarray:
+    """Symplectic DFT of the indicator of a boolean mask, its first n_rows
+    rows (all by default).
 
     A product set, mask = outer(mask.any(1), mask.any(0)), has the
     transform outer(d ifft(cols), fft(rows)), O(d log d) plus the outer
-    product; any other mask takes the 2-d route.
+    product, of which only the rows asked for are formed; any other mask
+    takes the 2-d route.
     """
     rows, cols = mask.any(axis=1), mask.any(axis=0)
     if np.array_equal(mask, np.outer(rows, cols)):
-        return np.outer(np.fft.ifft(cols) * mask.shape[0], np.fft.fft(rows))
-    return _symplectic_fft(mask)
+        return np.outer((np.fft.ifft(cols) * mask.shape[0])[:n_rows], np.fft.fft(rows))
+    return _symplectic_fft(mask)[:n_rows]
 
 
 def _symplectic_fft(F: np.ndarray) -> np.ndarray:
@@ -272,9 +280,9 @@ def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
         raise ValueError("grid function must be real")
     if not np.isfinite(F).all():
         raise ValueError("grid function must be finite")
-    F_hat = _indicator_fft(F) if F.dtype == bool else _symplectic_fft(F)
-    half = slice(0, d // 2 + 1)  # the rows a Hermitian result is built from
-    eta = _convolved_spreading(F_hat[half], spreading(S)[half])
+    half = d // 2 + 1  # the rows a Hermitian result is built from
+    F_hat = _indicator_fft(F, half) if F.dtype == bool else _symplectic_fft(F)[:half]
+    eta = _convolved_spreading(F_hat, spreading(S)[:half])
     return HermitianOperator._exact(_hermitian_from_spreading(eta))
 
 
@@ -385,8 +393,35 @@ def cohen_class(S, f: np.ndarray) -> np.ndarray:
 
     For S = g (x) g this is the spectrogram |V_g f|^2; for a data operator
     it equals sum_i |V_{f_i} f|^2.  Integrates to tr(S) ||f||^2.
+
+    The grid of `op_op_convolve(grid_reflect(S), tensor_product(f, f))`,
+    clamped, bit for bit, but without its d x d copies.  The spreading
+    function of the adjoint of S-check is taken from one gather of S's
+    entries, with that adjoint folded into the index, and the spreading
+    function of f (x) f from a gather of the 1-d f; conjugates and products
+    are formed in place.  Besides its input and result it holds at most
+    three d x d complex arrays at a time.
     """
-    return _clamp_nonnegative(op_op_convolve(grid_reflect(_as_matrix(S)), tensor_product(f, f)))
+    M = _as_matrix(S)
+    f = np.asarray(f, dtype=complex)
+    d = M.shape[0]
+    if M.shape != (d, d) or f.shape != (d,):
+        raise ValueError(f"need a square operator and a signal of its size, "
+                         f"got shapes {M.shape} and {f.shape}")
+    _, lag = _diagonal_index(d)  # lag[u, x] = x - u mod d
+    minus = -np.arange(d) % d
+    # (S-check)^*[x, x - u] = conj(S-check[x - u, x]) = conj(S[u - x, -x])
+    eta = M[minus[lag], minus]
+    np.conj(eta, out=eta)
+    eta = np.fft.fft(eta, axis=1)
+    np.conj(eta, out=eta)
+    # (f (x) f)[x, x - u] = f[x] conj(f[x - u])
+    diagonals = np.conj(f)[lag]
+    np.multiply(f, diagonals, out=diagonals)
+    diagonals = np.fft.fft(diagonals, axis=1)
+    eta *= grid_reflect(diagonals)
+    del diagonals  # the inverse transform then holds eta and its two outputs
+    return _clamp_nonnegative(_inverse_symplectic_fft(eta))
 
 
 def conv_layer_identity(f: np.ndarray, g: np.ndarray, m: np.ndarray):

@@ -38,11 +38,13 @@ def tf_shift(f: np.ndarray, z: tuple[int, int]) -> np.ndarray:
 
 def _tf_shifts(X: np.ndarray, m, n) -> np.ndarray:
     """pi(m_k, n_k) applied to every row of the (N, d) X, shape (N, K, d):
-    one gather X[:, (x - m_k) mod d] times one (K, d) phase table."""
+    one gather X[:, (x - m_k) mod d], multiplied in place by one (K, d)
+    phase table."""
     d = X.shape[1]
     x = np.arange(d)
     m, n = np.asarray(m)[:, None], np.asarray(n)[:, None]
-    return np.exp(2j * np.pi * x * (n % d) / d) * X.take((x - m) % d, axis=1)
+    out = X.take((x - m) % d, axis=1).astype(complex, copy=False)
+    return np.multiply(np.exp(2j * np.pi * x * (n % d) / d), out, out=out)
 
 
 def stft(f: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tfaug.floattext import _CHUNK, float_rows
+from tfaug.floattext import _CHUNK, float_chunks, float_rows
 
 
 def oracle(X) -> str:
@@ -77,10 +77,23 @@ def test_small_shapes(shape):
     assert_rows(X)
 
 
+@pytest.mark.parametrize("shape", [(3, _CHUNK // 2 + 7), (2, _CHUNK + 1), (1, 1), (0, 3), (2, 0)])
+def test_rows_are_the_joined_chunks(shape):
+    X = np.random.default_rng(7).standard_normal(shape)
+    chunks = list(float_chunks(X))
+    assert all(type(chunk) is bytes for chunk in chunks)
+    assert b"".join(chunks).decode("ascii") == float_rows(X) == oracle(X)
+    # every chunk but the last holds _CHUNK values, each followed by ',' or '\n'
+    full = [chunk.count(b",") + chunk.count(b"\n") for chunk in chunks[:-1]]
+    assert full == [_CHUNK] * (len(chunks) - 1)
+
+
 @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((2, 2), np.float32), np.zeros((1, 1, 1))])
 def test_rejects_other_arrays(X):
     with pytest.raises(ValueError, match="2-d float64"):
         float_rows(X)
+    with pytest.raises(ValueError, match="2-d float64"):
+        next(float_chunks(X))
 
 
 def test_strided_view():

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import tfaug as T
 import tfaug.cli
 from tfaug.cli import main
 from tfaug.experiments import CATALOG, LEAST_D, RANGES
+from tfaug.floattext import _CHUNK
 from tfaug.io import (
     read_signals_binary,
     read_signals_csv,
@@ -37,6 +39,14 @@ class TestSignalFiles:
         write_signals_csv(path, ds)
         back = read_signals_csv(path)
         assert np.array_equal(back.signals, ds.signals)
+
+    def test_csv_text_streamed_across_chunks(self, rng, tmp_path):
+        # 3 signals of 2 x 700 values: chunk ends fall inside rows
+        ds = rand_dataset(rng, 3, 700)
+        write_signals_csv(tmp_path / "sig.csv", ds)
+        rows = [",".join(map(repr, row)) for row in ds.signals.view(np.float64).tolist()]
+        expect = "# d=700 n=3\n" + "\n".join(rows) + "\n"
+        assert (tmp_path / "sig.csv").read_bytes() == expect.encode()
 
     def test_cross_format_equal(self, rng, tmp_path):
         ds = rand_dataset(rng, 3, 8)
@@ -606,6 +616,58 @@ class TestResultTable:
         G[0, 0] = 7.0
         assert len(table) == 3
         assert table.to_csv() == "x,y\na,1\n0.5,-0.0\n1e+16,2.0\n"
+
+    @staticmethod
+    def csv_oracle(table):
+        """The CSV text with every value through `_fmt`, one row at a time."""
+        lines = [f"# {k}={v}" for k, v in sorted(table.metadata.items())]
+        lines.append(",".join(table.columns))
+        for row in table.rows:
+            rows = row.tolist() if isinstance(row, np.ndarray) else [row]
+            lines += [",".join(T.ResultTable._fmt(v) for v in r) for r in rows]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def table(case):
+        rng = np.random.default_rng(11)
+        if case == "no rows":
+            return T.ResultTable(["a", "b"], {"seed": 1})
+        if case == "one column":
+            table = T.ResultTable(["x"], {"d": 4})
+            table.add_grid(rng.standard_normal((_CHUNK + 3, 1)))
+            return table
+        cols = 3 if case == "mixed rows" else _CHUNK // 2 + 7
+        G = rng.standard_normal((3, cols)) * 10.0 ** rng.integers(-30, 30, (3, cols))
+        G[0, :2] = -0.0, np.nan
+        table = T.ResultTable([f"c{j}" for j in range(cols)], {"experiment": "x", "seed": 2})
+        table.add("a", *range(1, cols))
+        table.add_grid(G)
+        table.add(None, *[0.1] * (cols - 1))
+        table.add_grid(G[::-1])
+        return table
+
+    @pytest.mark.parametrize("case", ["mixed rows", "straddling chunks", "one column", "no rows"])
+    def test_write_streams_the_csv(self, case, tmp_path):
+        table = self.table(case)
+        table.write(tmp_path / "t.csv")
+        text = table.to_csv()
+        assert (tmp_path / "t.csv").read_bytes() == text.encode()
+        assert text == self.csv_oracle(table)
+
+    def test_write_holds_less_than_its_text(self, tmp_path):
+        # the writer holds one chunk's text at a time, not the grid's 5 MB
+        d = 512
+        table = T.ResultTable([f"c{j}" for j in range(d)])
+        table.add_grid(np.random.default_rng(3).random((d, d)))
+        size = len(table.to_csv())
+        tracemalloc.start()
+        try:
+            table.write(tmp_path / "g.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "g.csv").stat().st_size == size
+        assert peak < size
 
     @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,), (1, 2, 4)])
     def test_add_grid_rejects_wrong_shape(self, shape):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ import tfaug as T
 import tfaug.metrics
 import tfaug.operators
 from tfaug.operators import (
+    _clamp_nonnegative,
     _indicator_fft,
     _symplectic_fft,
     from_spreading,
@@ -122,6 +124,27 @@ class TestDataOperator:
         base[0] *= 3.0
         w = np.linalg.eigvalsh(S.matrix)[::-1]
         assert np.max(np.abs(tfaug.metrics._positive_eigenvalues(S) - w)) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 7, 16])
+    def test_symmetrized_in_place_bit_for_bit(self, rng, d):
+        # (A + A^*) / 2 of the product, computed into the product itself
+        ds = rand_dataset(rng, 5, d)
+        A = ds.signals.T @ ds.signals.conj()
+        S = T.data_operator(ds).matrix
+        assert S.flags.c_contiguous and not S.flags.writeable
+        assert S.tobytes() == (0.5 * (A + A.conj().T)).tobytes()
+
+    def test_data_operator_holds_two_matrices(self, rng):
+        # the product and its conjugate; out of place it held three
+        d = 256
+        ds = rand_dataset(rng, 10, d)
+        tracemalloc.start()
+        try:
+            T.data_operator(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * d * d * 16
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_signal(self, rng, value):
@@ -253,6 +276,28 @@ class TestIndicatorTransform:
             assert not np.array_equal(mask, np.outer(mask.any(1), mask.any(0)))
             assert np.array_equal(_indicator_fft(mask), _symplectic_fft(mask))
             assert two_d.pop() is mask and not two_d
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 16])
+    def test_first_rows_bit_for_bit(self, d):
+        # each row of the outer product is formed alone, so asking for the
+        # rows u <= d/2 changes no bit of them
+        for mask in [*self.product_masks(d), l_shape_mask(d)]:
+            full = _indicator_fft(mask)
+            head = _indicator_fft(mask, d // 2 + 1)
+            assert head.shape == (d // 2 + 1, d)
+            assert head.tobytes() == full[: d // 2 + 1].tobytes()
+
+    def test_localization_forms_only_the_half_rows(self, rng, monkeypatch):
+        d = 16
+        asked = []
+
+        def counted(mask, n_rows=None):
+            asked.append(n_rows)
+            return _indicator_fft(mask, n_rows)
+
+        monkeypatch.setattr(tfaug.operators, "_indicator_fft", counted)
+        T.fn_op_convolve(T.make_rect_domain(d, 2.0, 1.5).mask, rand_state(rng, 3, d))
+        assert asked == [d // 2 + 1]
 
     def test_boolean_grid_is_the_indicator(self, rng):
         d = 16
@@ -492,6 +537,51 @@ class TestCohenClass:
         g = T.gaussian_window(16)
         with pytest.raises(ValueError):
             T.cohen_class(T.HermitianOperator(-T.tensor_product(g, g)), g)
+
+    @staticmethod
+    def outcome(compute):
+        try:
+            return compute().tobytes()
+        except ValueError as err:
+            return str(err)
+
+    @pytest.mark.parametrize("d", [7, 8, 16])
+    def test_bit_for_bit_its_definition(self, rng, d):
+        f = rand_signal(rng, d)
+        S = T.data_operator(rand_dataset(rng, 3, d))
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        P = A @ A.conj().T / np.linalg.norm(A) ** 2
+        noise = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        operands = {
+            "raw Hermitian": 0.5 * (P + P.conj().T),
+            "data operator matrix": S.matrix,
+            "HermitianOperator": S,
+            "non-Hermitian": S.matrix + 1e-3 * noise,
+            "non-Hermitian, negative": S.matrix + 0.1 * noise,
+        }
+        for name, op in operands.items():
+            M = op.matrix if isinstance(op, T.HermitianOperator) else op
+            want = self.outcome(
+                lambda: _clamp_nonnegative(T.op_op_convolve(grid_reflect(M), T.tensor_product(f, f))))
+            got = self.outcome(lambda: T.cohen_class(op, f))
+            assert got == want, name
+            assert isinstance(got, str) == name.endswith("negative"), name
+
+    def test_holds_few_d_by_d_arrays(self, rng):
+        # the result (d x d real) and at most three d x d complex arrays at a
+        # time; with the dense f (x) f, the reflected and adjoint copies and
+        # out-of-place products it held seven
+        d = 256
+        S = T.data_operator(rand_dataset(rng, 10, d)).matrix
+        f = rand_unit(rng, d)
+        T.cohen_class(S, f)  # the diagonal index is cached per d
+        tracemalloc.start()
+        try:
+            T.cohen_class(S, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * d * d * 16
 
 
 class TestConvLayerIdentity:

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import eval_hermite
 
 import tfaug as T
-from tfaug.tf_core import _hermite_polys, grid_reflect
+from tfaug.tf_core import _hermite_polys, _tf_shifts, grid_reflect
 
 from conftest import rand_signal, rand_unit
 
@@ -66,6 +66,19 @@ class TestTfShift:
             x = np.arange(d)
             expect = np.exp(2j * np.pi * x * (n % d) / d) * np.roll(f, m % d)
             assert np.array_equal(T.tf_shift(f, (m, n)).view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_shift_table_matches_tf_shift_bit_for_bit(self, rng, real):
+        # every (signal, shift) pair of the table, against the roll formula
+        d = 12
+        X = rng.standard_normal((3, d)) if real else np.array([rand_signal(rng, d) for _ in range(3)])
+        m, n = rng.integers(-d, 2 * d, size=(2, 5))
+        table = _tf_shifts(X, m, n)
+        assert table.shape == (3, 5, d) and table.dtype == complex
+        x = np.arange(d)
+        for i, k in np.ndindex(3, 5):
+            expect = np.exp(2j * np.pi * x * (n[k] % d) / d) * np.roll(X[i], m[k] % d)
+            assert table[i, k].tobytes() == expect.tobytes()
 
 
 class TestStft:
