@@ -36,7 +36,6 @@ from .metrics import (
     data_entropy_and_rank,
     differential_entropy,
     effective_dimension,
-    entropy_covariance_check,
     localize,
     projection_functional_spectral,
     von_neumann_entropy,
@@ -48,7 +47,6 @@ from .operators import (
     data_operator,
     fn_op_convolve,
     op_op_convolve,
-    operator_shift,
     tensor_product,
     total_correlation,
 )

@@ -24,7 +24,7 @@ class Domain:
     descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = np.array(self.mask, dtype=bool)  # copied: the caller's array stays writable
         if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
             raise ValueError(f"mask must be square 2-d, got shape {mask.shape}")
         mask.setflags(write=False)

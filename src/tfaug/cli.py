@@ -91,15 +91,18 @@ def cmd_augment(args) -> int:
 def bounds_report(results) -> dict:
     """The JSON printed by `tfaug bounds` for the results of check_bounds.
 
-    "checks" lists every result in one shape; the other keys group the same
-    values per theorem.  The ALC lemma is reported as lhs = ALC >= rhs.
+    "checks" lists every result in one shape, with a non-finite value (the
+    NaN rhs, tol and slack of an 'inconclusive' result) as null; the other
+    keys group the same values per theorem.  The ALC lemma is reported as
+    lhs = ALC >= rhs.
     """
     r = {c.name: c for c in results}
     low, up = r["sandwich_lower"], r["sandwich_upper"]
     gbl_low, gbl_up = r["general_berezin_lieb_lower"], r["general_berezin_lieb_upper"]
     lemma, rank, perim = r["alc_lemma"], r["finite_rank"], r["perimeter"]
     return {
-        "checks": [{**asdict(c), "slack": c.slack} for c in results],
+        "checks": [{k: v if not isinstance(v, float) or math.isfinite(v) else None
+                    for k, v in {**asdict(c), "slack": c.slack}.items()} for c in results],
         "sandwich": {
             "lower": low.lhs, "mid": low.rhs, "upper": up.rhs,
             "slack_lower": low.slack, "slack_upper": up.slack,
@@ -121,7 +124,7 @@ def cmd_bounds(args) -> int:
     args.d = ds.d
     dom = _load_domain(args)
     results = check_bounds(data_operator(ds), dom)
-    print(json.dumps(bounds_report(results), indent=2, sort_keys=True))
+    print(json.dumps(bounds_report(results), indent=2, sort_keys=True, allow_nan=False))
     return 0 if all(r.ok for r in results) else 1
 
 

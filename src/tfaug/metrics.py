@@ -9,7 +9,7 @@ comes from it.  `check_bounds(S, Omega)` makes one analysis pass over a
 (data operator, domain) pair: the total correlation S-tilde and one
 `localize`, from which it derives every inequality.  Each inequality comes
 back as a `CheckResult` recording `lhs <= rhs` with its tolerance and
-verdict; `entropy_covariance_check` returns the same type.
+verdict.
 
 Natural logarithms throughout.  Structural identities are checked at
 1e-8..1e-10, entropy comparisons at 1e-7 absolute, discretization-sensitive
@@ -234,9 +234,11 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     finite_rank            ||L - T_Omega||_1 / |Omega| <= (A_Omega - |Omega|)/|Omega| + 2 ALC
     general_berezin_lieb_lower/_upper  tr Phi(L) <= int Phi(f) <= tr Phi(f (x) S)
     perimeter              ALC <= (|boundary|/|Omega|) int S-tilde(z) |z| dz, 'vacuous' above 1
+    entropy_covariance     exp(H(S-tilde)/2) <= sqrt(pi e) sqrt(Var S-tilde), 'inconclusive'
+                           (NaN rhs and tol) when S-tilde's mass is too spread for torus moments
 
-    The entropy checks use the tolerance 1e-7 max(1, |H_vN(L/|Omega|)|), the
-    others 1e-8.
+    The entropy checks use the tolerance 1e-7 max(1, |H_vN(L/|Omega|)|),
+    entropy_covariance 1e-3 relative to its rhs, the others 1e-8.
 
     L is the pair's one d x d eigensolve (S's entropy solves the N x N Gram
     matrix when N <= 3d/4).  A = f (x) S needs no spectrum: f in [0, 1] and
@@ -249,6 +251,7 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     omega = domain.measure
     S_tilde = _checked_total_correlation(S)
+    H_tilde = differential_entropy(S_tilde)
     _, a, w, mid = localize(S, domain)
     A_omega, rank_error = _finite_rank(w, omega)
     smoothed, symbol = _localization_grids(domain.mask, S)
@@ -272,15 +275,39 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     return [
         _check("sandwich_lower", math.log(omega) + a, mid, tol),
         _check("sandwich_upper", mid, upper, tol),
-        _check("entropy_correlation", von_neumann_entropy(S),
-               differential_entropy(S_tilde), tol),
+        _check("entropy_correlation", von_neumann_entropy(S), H_tilde, tol),
         _check("alc_lemma", 1.0 - float(np.sum(w[:A_omega])) / omega, a, 1e-8),
         _check("finite_rank", rank_error / omega,
                (A_omega - omega) / omega + 2.0 * a, 1e-8),
         _check("general_berezin_lieb_lower", tr_phi_A, int_phi_symbol, 1e-8),
         _check("general_berezin_lieb_upper", int_phi_symbol, tr_phi_fS, 1e-8),
         perimeter,
+        _entropy_covariance(S_tilde, H_tilde),
     ]
+
+
+def _entropy_covariance(S_tilde: np.ndarray, entropy: float) -> CheckResult:
+    """exp(H/2) <= sqrt(pi e) sqrt(Var) for the checked density S-tilde of
+    entropy H, within 1e-3 relative to the rhs.
+
+    The moments, from S-tilde's row and column sums, use cyclic coordinates
+    centered at its peak, the origin (S-tilde(z) <= S-tilde(0) = tr S^2 by
+    Cauchy-Schwarz).  A variance <= 0, or over 0.2 of the mass off the
+    central block, where they wrap around, is 'inconclusive' (NaN rhs, tol).
+    """
+    d = S_tilde.shape[0]
+    side = math.sqrt(d)
+    k = signed_indices(d) / side
+    rows, cols = S_tilde.sum(axis=1), S_tilde.sum(axis=0)
+    mu = np.array([k @ rows, k @ cols]) / d
+    var = float((k * k) @ (rows + cols)) / d - float(mu @ mu)
+    central = np.abs(k) < side / 4
+    edge_mass = 1.0 - float(np.sum(S_tilde[np.ix_(central, central)])) / d
+    lhs = math.exp(entropy / 2.0)
+    if var <= 0 or edge_mass > 0.2:
+        return CheckResult("entropy_covariance", lhs, math.nan, math.nan, "inconclusive")
+    rhs = math.sqrt(math.pi * math.e) * math.sqrt(var)
+    return _check("entropy_covariance", lhs, rhs, 1e-3 * rhs)
 
 
 @lru_cache(maxsize=8)
@@ -292,40 +319,6 @@ def _centered_distance_grid(d: int) -> np.ndarray:
     dist = np.hypot(mm, nn)
     dist.setflags(write=False)
     return dist
-
-
-def entropy_covariance_check(S_tilde: np.ndarray) -> CheckResult:
-    """exp(H(S-tilde)/2) <= sqrt(pi e) * sqrt(second moment - |mean|^2).
-
-    Moments use cyclic coordinates recentered at the density's argmax.  The
-    check passes within 1e-3 relative to the rhs; it is 'inconclusive', with
-    a NaN rhs, when the mass is too spread for torus moments.
-    """
-    S_tilde = np.asarray(S_tilde, dtype=float)
-    d = S_tilde.shape[0]
-    mass = grid_integrate(S_tilde)
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(f"density mass is {mass:.6g}, expected 1")
-    peak = np.unravel_index(int(np.argmax(S_tilde)), S_tilde.shape)
-    side = math.sqrt(d)
-    k = np.arange(d)
-    cm = ((k - peak[0] + d / 2) % d - d / 2) / side
-    cn = ((k - peak[1] + d / 2) % d - d / 2) / side
-    mm, nn = np.meshgrid(cm, cn, indexing="ij")
-    mu = np.array(
-        [grid_integrate(mm * S_tilde), grid_integrate(nn * S_tilde)]
-    )
-    second = grid_integrate((mm**2 + nn**2) * S_tilde)
-    var = second - float(mu @ mu)
-    # wraparound makes the moments meaningless once mass sits near the seam
-    edge_mass = 1.0 - float(
-        np.sum(S_tilde[(np.abs(mm) < side / 4) & (np.abs(nn) < side / 4)]) / d
-    )
-    lhs = math.exp(differential_entropy(S_tilde) / 2.0)
-    if var <= 0 or edge_mass > 0.2:
-        return CheckResult("entropy_covariance", lhs, math.nan, math.nan, "inconclusive")
-    rhs = math.sqrt(math.pi * math.e) * math.sqrt(var)
-    return _check("entropy_covariance", lhs, rhs, 1e-3 * rhs)
 
 
 def asymptotic_alc_scan(S_tilde: np.ndarray, domain: Domain, scales) -> list[tuple[float, float]]:

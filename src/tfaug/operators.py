@@ -140,17 +140,6 @@ def data_operator(dataset) -> HermitianOperator:
     return HermitianOperator._built(X.T @ X.conj(), X)
 
 
-def operator_shift(S: np.ndarray | HermitianOperator, z: tuple[int, int]) -> np.ndarray:
-    """alpha_z(S) = pi(z) S pi(z)^*; unitary conjugation, spectrum invariant."""
-    M = _as_matrix(S)
-    d = M.shape[0]
-    m, n = z[0] % d, z[1] % d
-    x = np.arange(d)
-    phase = np.exp(2j * np.pi * x * n / d)
-    shifted = np.roll(M, (m, m), axis=(0, 1))
-    return phase[:, None] * shifted * phase.conj()[None, :]
-
-
 def _as_matrix(S) -> np.ndarray:
     return S.matrix if isinstance(S, HermitianOperator) else np.asarray(S, dtype=complex)
 

@@ -32,3 +32,15 @@ def disk_mask(d, R):
     """The cells z with |z| <= R in phase units, around the origin."""
     k = T.tf_core.signed_indices(d) / np.sqrt(d)
     return k[:, None] ** 2 + k[None, :] ** 2 <= R * R
+
+
+def operator_shift(S, z):
+    """alpha_z(S) = pi(z) S pi(z)^*, the direct-summation oracles' shift;
+    unitary conjugation, so the spectrum is invariant."""
+    M = S.matrix if isinstance(S, T.HermitianOperator) else np.asarray(S, dtype=complex)
+    d = M.shape[0]
+    m, n = z[0] % d, z[1] % d
+    x = np.arange(d)
+    phase = np.exp(2j * np.pi * x * n / d)
+    shifted = np.roll(M, (m, m), axis=(0, 1))
+    return phase[:, None] * shifted * phase.conj()[None, :]

@@ -5,9 +5,26 @@ import numpy as np
 import pytest
 
 import tfaug as T
-from tfaug.operators import operator_shift
 
-from conftest import rand_dataset, rand_state, rand_unit
+from conftest import operator_shift, rand_dataset, rand_state, rand_unit
+
+
+class TestDomainMask:
+    def test_caller_array_stays_writable(self):
+        m = np.zeros((16, 16), dtype=bool)
+        m[:3, :3] = True
+        dom = T.Domain(m)
+        m[0, 5] = True  # the caller's array is not frozen
+        assert not dom.mask.flags.writeable
+        assert dom.n_cells == 9 and dom.measure == 0.5625
+
+    def test_later_write_through_a_view_leaves_the_domain(self):
+        m = np.zeros((16, 16), dtype=bool)
+        m[:3, :3] = True
+        dom = T.Domain(m[:, :])
+        m[8, 8] = True
+        assert dom.n_cells == 9 and dom.measure == 0.5625
+        assert not dom.mask[8, 8]
 
 
 class TestRectDomain:

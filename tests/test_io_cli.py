@@ -267,7 +267,11 @@ class TestCli:
               "--seed", "1", "--out", sig])
         capsys.readouterr()
         assert main(["bounds", "--in", sig, "--rect", "2.5", "2.5"]) == 0
-        out = json.loads(capsys.readouterr().out)
+
+        def no_constant(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=no_constant)
         expected = {
             "sandwich": {"lower", "mid", "upper", "slack_lower", "slack_upper",
                          "pass", "tolerance", "entropy_correlation_ok"},
@@ -276,10 +280,16 @@ class TestCli:
             "general_berezin_lieb": {"int_phi_symbol", "tr_phi_A", "tr_phi_fS", "pass"},
             "perimeter": {"alc", "bound", "verdict"},
         }
+        assert set(out) == {"checks", *expected}
         for group, keys in expected.items():
             assert set(out[group]) >= keys, group
         for check in out["checks"]:
             assert set(check) == {"name", "lhs", "rhs", "tol", "verdict", "slack"}
+        # chirp correlation mass wraps the torus, so the entropy-covariance
+        # check is inconclusive: its NaN rhs, tol and slack print as null
+        last = out["checks"][-1]
+        assert last["name"] == "entropy_covariance" and last["verdict"] == "inconclusive"
+        assert last["rhs"] is None and last["tol"] is None and last["slack"] is None
 
     def test_bounds_failing_check_exits_1(self, tmp_path, capsys, monkeypatch):
         real = tfaug.cli.check_bounds

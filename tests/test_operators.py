@@ -13,13 +13,14 @@ from tfaug.operators import (
     _indicator_fft,
     _symplectic_fft,
     from_spreading,
-    operator_shift,
     parity,
     spreading,
 )
 from tfaug.tf_core import grid_reflect
 
-from conftest import disk_mask, rand_dataset, rand_signal, rand_state, rand_unit
+from conftest import (
+    disk_mask, operator_shift, rand_dataset, rand_signal, rand_state, rand_unit,
+)
 
 
 def fn_op_direct(F, S):
