@@ -22,7 +22,7 @@ from .datasets import (
 )
 from .experiments import CATALOG, ExperimentConfig, run_experiment
 from .io import domain_from_json, domain_to_json, read_signals, write_signals
-from .metrics import _checked_total_correlation, check_bounds, effective_dimension, localize
+from .metrics import check_bounds, effective_dimension, localize
 from .operators import data_operator
 
 GENERATORS = {
@@ -33,15 +33,15 @@ GENERATORS = {
 }
 
 
-def _load_domain(args):
+def _load_domain(args, d: int):
     if args.domain:
         try:
-            return domain_from_json(Path(args.domain).read_text(), args.d)
+            return domain_from_json(Path(args.domain).read_text(), d)
         except (OSError, ValueError, KeyError) as e:
             raise SystemExit(f"error: cannot read domain {args.domain}: {e}")
     if args.rect:
         w, h = args.rect
-        return make_rect_domain(args.d, w, h)
+        return make_rect_domain(d, w, h)
     raise SystemExit("error: provide --domain FILE or --rect W H")
 
 
@@ -66,9 +66,7 @@ def cmd_metrics(args) -> int:
     H, ed = effective_dimension(S)
     out = {"n_signals": len(ds), "d": ds.d, "H": H, "effective_dimension": ed}
     if args.domain or args.rect:
-        args.d = ds.d
-        dom = _load_domain(args)
-        _checked_total_correlation(S)
+        dom = _load_domain(args, ds.d)
         _, a, _, H_aug = localize(S, dom)
         out["domain_measure"] = dom.measure
         out["alc"] = a
@@ -80,8 +78,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_augment(args) -> int:
     ds = _load_signals(args.input)
-    args.d = ds.d
-    dom = _load_domain(args)
+    dom = _load_domain(args, ds.d)
     aug = augment_dataset(dom, ds)
     write_signals(args.out, aug)
     print(f"wrote {len(aug)} augmented signals to {args.out}")
@@ -121,8 +118,7 @@ def bounds_report(results) -> dict:
 
 def cmd_bounds(args) -> int:
     ds = _load_signals(args.input)
-    args.d = ds.d
-    dom = _load_domain(args)
+    dom = _load_domain(args, ds.d)
     results = check_bounds(data_operator(ds), dom)
     print(json.dumps(bounds_report(results), indent=2, sort_keys=True, allow_nan=False))
     return 0 if all(r.ok for r in results) else 1

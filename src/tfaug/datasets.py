@@ -9,15 +9,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import HermitianOperator, tensor_product
-from .tf_core import gaussian_window, signed_indices, tf_shift
+from .tf_core import _tf_shifts, gaussian_window, signed_indices, tf_shift
 
 
 @dataclass(frozen=True)
 class DataSet:
     """N equal-length signals as the rows of one read-only (N, d) complex
-    matrix, with the provenance of their generator.  Built from a 2-d array or
-    a sequence of 1-d signals; a read-only C-ordered complex array is kept,
-    anything else copied."""
+    matrix, with the provenance of their generator.
+
+    Built from a 2-d array or a sequence of 1-d signals.  The matrix is the
+    dataset's own, shared with no writable array: a C-ordered complex128
+    array read-only down to memory it owns, or to immutable bytes, is kept;
+    anything else (a read-only view of a writable array too) is copied once
+    and frozen."""
 
     signals: np.ndarray
     seed: int | None = None
@@ -31,10 +35,11 @@ class DataSet:
             rows = [np.asarray(s) for s in X]
             if any(r.ndim != 1 or len(r) != len(rows[0]) for r in rows):
                 raise ValueError("all signals must share one dimension")
-            X = np.stack(rows)
+            X = np.array(rows, dtype=complex)
+            X.setflags(write=False)
         if X.shape[1] < 1:
             raise ValueError("signals must have at least one sample")
-        if X.flags.writeable or not X.flags.c_contiguous or X.dtype != complex:
+        if not (_is_frozen(X) and X.flags.c_contiguous and X.dtype == complex):
             X = np.array(X, dtype=complex, order="C")
             X.setflags(write=False)
         object.__setattr__(self, "signals", X)
@@ -47,16 +52,38 @@ class DataSet:
         return len(self.signals)
 
     def total_energy(self) -> float:
-        # row sums added in row order: the bits of a per-signal loop
-        return float(sum(np.sum(np.abs(self.signals) ** 2, axis=1)))
+        return _total_energy(self.signals)
+
+
+def _is_frozen(X: np.ndarray) -> bool:
+    """True when X and every array under it is read-only, down to memory
+    that X's chain owns or an immutable bytes object."""
+    while isinstance(X, np.ndarray):
+        if X.flags.writeable:
+            return False
+        X = X.base
+    return X is None or isinstance(X, bytes)
+
+
+def _total_energy(X: np.ndarray) -> float:
+    # row sums added in row order: the bits of a per-signal loop
+    return float(sum(np.sum(np.abs(X) ** 2, axis=1)))
 
 
 def normalize_dataset(dataset: DataSet) -> DataSet:
     """Globally rescale so the squared norms sum to one."""
-    total = dataset.total_energy()
+    return _normalized(dataset.signals.copy(), dataset.seed, dataset.label)
+
+
+def _normalized(X: np.ndarray, seed: int | None, label: str) -> DataSet:
+    """The dataset of X scaled in place to unit total energy, for a fresh
+    (N, d) complex matrix X that nothing else holds."""
+    total = _total_energy(X)
     if total <= 0:
         raise ValueError("cannot normalize an all-zero dataset")
-    return DataSet(total**-0.5 * dataset.signals, dataset.seed, dataset.label)
+    X *= total**-0.5
+    X.setflags(write=False)
+    return DataSet(X, seed, label)
 
 
 def _rng(N: int, d: int, seed: int) -> np.random.Generator:
@@ -118,9 +145,7 @@ def gen_chirps(
     # row i: the chirp times the envelope rotated by shift[i]
     X = (np.exp(2j * np.pi * (f0[:, None] * t + 0.5 * rate[:, None] * t**2))
          * _barthann(d)[(np.arange(d) - shift[:, None]) % d])
-    X.setflags(write=False)
-    ds = DataSet(X, seed, f"chirps(N={N},d={d})")
-    return normalize_dataset(ds)
+    return _normalized(X, seed, f"chirps(N={N},d={d})")
 
 
 def gen_hermite_pair_state(t: float, g: np.ndarray, h: np.ndarray) -> HermitianOperator:
@@ -135,10 +160,8 @@ def gen_hermite_pair_state(t: float, g: np.ndarray, h: np.ndarray) -> HermitianO
 
 def _near_origin_cells(d: int, spread: float) -> np.ndarray:
     """Grid cells whose centered phase coordinates lie within radius spread."""
-    signed = signed_indices(d) / np.sqrt(d)
-    mm, nn = np.meshgrid(signed, signed, indexing="ij")
-    sel = mm**2 + nn**2 <= spread**2
-    return np.argwhere(sel)
+    sq = (signed_indices(d) / np.sqrt(d)) ** 2
+    return np.argwhere(sq[:, None] + sq[None, :] <= spread**2)
 
 
 def gen_local_components(
@@ -167,8 +190,8 @@ def gen_local_components(
         cells = np.asarray(spread, dtype=int).reshape(-1, 2)
     if len(cells) == 0:
         raise ValueError("spread selects no grid cells")
-    signals = []
-    for _ in range(N):
+    X = np.empty((N, d), dtype=complex)
+    for i in range(N):
         z = tuple(cells[rng.integers(0, len(cells))])
         atom = tf_shift(g, z)
         c = (1 - noise_energy) ** 0.5
@@ -180,9 +203,8 @@ def gen_local_components(
             noise -= np.vdot(atom, noise) * atom / np.vdot(atom, atom)
             noise *= (noise_energy**0.5) / np.linalg.norm(noise)
             f = f + noise
-        signals.append(f)
-    ds = DataSet(signals, seed, f"local_components(N={N},d={d},noise={noise_energy})")
-    return normalize_dataset(ds)
+        X[i] = f
+    return _normalized(X, seed, f"local_components(N={N},d={d},noise={noise_energy})")
 
 
 def default_tf_weight(z: np.ndarray) -> np.ndarray:
@@ -205,28 +227,16 @@ def gen_random_tf_weighted(
     complex coefficients c_l.
     """
     rng = _rng(N, d, seed)
-    g = gaussian_window(d)
-    sqd = np.sqrt(d)
     half = int(max_radius)
-    lattice = []
-    for a in range(-half, half + 1):
-        for b in range(-half, half + 1):
-            if a * a + b * b <= max_radius**2:
-                lattice.append((a, b))
-    atoms = []
-    weights = []
-    for a, b in lattice:
-        z_idx = (int(round(a * sqd)) % d, int(round(b * sqd)) % d)
-        atoms.append(tf_shift(g, z_idx))
-        weights.append(float(weight_fn(np.hypot(a, b))))
-    atoms = np.stack(atoms)
-    weights = np.asarray(weights)
+    span = range(-half, half + 1)
+    lattice = [(a, b) for a in span for b in span if a * a + b * b <= max_radius**2]
+    atoms = _lattice_atoms(d, lattice)
+    weights = np.array([float(weight_fn(np.hypot(a, b))) for a, b in lattice])
     coeffs = rng.uniform(size=(N, len(lattice))) * np.exp(
         2j * np.pi * rng.uniform(size=(N, len(lattice)))
     )
-    signals = (coeffs * weights[None, :]) @ atoms
-    ds = DataSet(signals, seed, f"tf_weighted(N={N},d={d})")
-    return normalize_dataset(ds)
+    X = (coeffs * weights[None, :]) @ atoms
+    return _normalized(X, seed, f"tf_weighted(N={N},d={d})")
 
 
 def gen_gaussian_combos(
@@ -244,8 +254,6 @@ def gen_gaussian_combos(
     """
     w, h = M_rect
     rng = _rng(N, d, seed)
-    g = gaussian_window(d)
-    sqd = np.sqrt(d)
     lattice = [
         (a, b)
         for a in range(-int(w / 2), int(w / 2) + 1)
@@ -253,16 +261,19 @@ def gen_gaussian_combos(
     ]
     if not lattice:
         raise ValueError(f"no lattice points inside rectangle {M_rect}")
-    atoms = np.stack(
-        [
-            tf_shift(g, (int(round(a * sqd)) % d, int(round(b * sqd)) % d))
-            for a, b in lattice
-        ]
-    )
-    signals = []
-    for _ in range(N):
+    atoms = _lattice_atoms(d, lattice)
+    X = np.empty((N, d), dtype=complex)
+    for i in range(N):
         picks = rng.integers(0, len(lattice), size=n_atoms)
         c = rng.uniform(size=n_atoms) * np.exp(2j * np.pi * rng.uniform(size=n_atoms))
-        signals.append(c @ atoms[picks])
-    ds = DataSet(signals, seed, f"gaussian_combos(N={N},d={d})")
-    return normalize_dataset(ds)
+        X[i] = c @ atoms[picks]
+    return _normalized(X, seed, f"gaussian_combos(N={N},d={d})")
+
+
+def _lattice_atoms(d: int, lattice) -> np.ndarray:
+    """Rows pi(z) g, g the Gaussian window, at the grid points
+    z = (round(a sqrt d), round(b sqrt d)) mod d of the lattice points (a, b),
+    in lattice order: one gather."""
+    sqd = np.sqrt(d)
+    m, n = np.array([(int(round(a * sqd)) % d, int(round(b * sqd)) % d) for a, b in lattice]).T
+    return _tf_shifts(gaussian_window(d)[None, :], m, n)[0]

@@ -29,7 +29,6 @@ from .datasets import (
 )
 from .floattext import float_chunks
 from .metrics import (
-    _checked_total_correlation,
     check_bounds,
     data_entropy_and_rank,
     localize,
@@ -330,7 +329,6 @@ def _run_alc_family(gen, config: ExperimentConfig):
     results = []
     for trial in range(config.trials):
         S = data_operator(gen(config.N, config.d, seed=config.seed + trial))
-        _checked_total_correlation(S)
         row = {}
         for key, dom in domains.items():
             _, a, _, H_aug = localize(S, dom)  # the numbers are kept, not L
@@ -366,7 +364,6 @@ def run_alc_vs_ed(config: ExperimentConfig):
     d = config.d
     ds = gen_chirps(config.N, d, seed=config.seed)
     S = data_operator(ds)
-    _checked_total_correlation(S)
     table = ResultTable(
         ["domain", "scale", "measure", "lower", "H_aug"], _meta(config)
     )

@@ -81,6 +81,7 @@ def read_signals_csv(path) -> DataSet:
     # numpy's C parser, with no comment or quote handling: every token must be
     # a whole float literal, or ValueError names its row and column
     X = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 2 * d))
+    X.setflags(write=False)  # so that DataSet keeps its complex view uncopied
     return DataSet(_check_finite(path, X).view(np.complex128), label=f"file({Path(path).name})")
 
 

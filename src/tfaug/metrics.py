@@ -101,8 +101,7 @@ def _check_density(F) -> np.ndarray:
 def differential_entropy(F: np.ndarray) -> float:
     """-integral F ln F for a non-negative grid density of unit mass."""
     F = _check_density(F)
-    Fc = np.clip(F, 0.0, None)
-    nz = Fc[Fc > 0]
+    nz = F[F > 0]
     return float(-np.sum(nz * np.log(nz)) / F.shape[0])
 
 
@@ -147,11 +146,6 @@ def alc(S_tilde: np.ndarray, domain: Domain) -> float:
     C = _domain_autocorrelation(domain)
     inner = float(np.sum(C * S_tilde))
     return _checked_alc(1.0 - inner / (domain.measure * d * d))
-
-
-def _checked_total_correlation(S) -> np.ndarray:
-    """S-tilde, with S checked positive and S-tilde checked as a density."""
-    return _check_density(total_correlation(S))
 
 
 class Localization(NamedTuple):
@@ -238,7 +232,9 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
                            (NaN rhs and tol) when S-tilde's mass is too spread for torus moments
 
     The entropy checks use the tolerance 1e-7 max(1, |H_vN(L/|Omega|)|),
-    entropy_covariance 1e-3 relative to its rhs, the others 1e-8.
+    entropy_covariance 1e-3 relative to its rhs, the others 1e-8.  L (x) S
+    and the lambda_k are clipped to [0, 1] only within 1e-8 max(1, max |x|),
+    and raise ValueError beyond.
 
     L is the pair's one d x d eigensolve (S's entropy solves the N x N Gram
     matrix when N <= 3d/4).  A = f (x) S needs no spectrum: f in [0, 1] and
@@ -250,7 +246,7 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     """
     S = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     omega = domain.measure
-    S_tilde = _checked_total_correlation(S)
+    S_tilde = _check_density(total_correlation(S))
     H_tilde = differential_entropy(S_tilde)
     _, a, w, mid = localize(S, domain)
     A_omega, rank_error = _finite_rank(w, omega)
@@ -261,9 +257,9 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     def phi(x):
         return x - x * x
 
-    symbol = np.clip(symbol, 0.0, 1.0)
+    symbol = _clamped_to_unit(symbol, "Berezin-Lieb symbol L (x) S")
     int_phi_symbol = grid_integrate(phi(symbol))
-    tr_phi_A = float(np.sum(phi(np.clip(w, 0.0, 1.0))))
+    tr_phi_A = float(np.sum(phi(_clamped_to_unit(w, "eigenvalue of L"))))
     fS = fn_op_convolve(symbol, S).matrix
     _check_positive(fS, 1e-8)
     tr_phi_fS = float(np.trace(fS).real - np.vdot(fS, fS).real)
@@ -284,6 +280,15 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
         perimeter,
         _entropy_covariance(S_tilde, H_tilde),
     ]
+
+
+def _clamped_to_unit(x: np.ndarray, name: str) -> np.ndarray:
+    """x clipped to [0, 1]; raises ValueError naming x when a value lies
+    more than 1e-8 max(1, max |x|) outside it."""
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(x))))
+    if not (x.min() >= -tol and x.max() <= 1.0 + tol):
+        raise ValueError(f"{name} leaves [0, 1]: min {x.min():.6g}, max {x.max():.6g}")
+    return np.clip(x, 0.0, 1.0)
 
 
 def _entropy_covariance(S_tilde: np.ndarray, entropy: float) -> CheckResult:

@@ -42,8 +42,7 @@ class HermitianOperator:
     The result is exactly Hermitian, its own adjoint.
     A data operator S = X^T conj(X) also keeps its (N, d) factor X in
     `_factor`, which marks it positive by construction.  Only
-    `data_operator` sets it, and only to a read-only X whose memory nothing
-    writable shares, so the factor stays the matrix's.
+    `data_operator` sets it, to its dataset's signal matrix.
     """
 
     matrix: np.ndarray
@@ -109,31 +108,16 @@ def tensor_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.outer(f, g.conj())
 
 
-def _is_frozen(X: np.ndarray) -> bool:
-    """True when X and every array under it is read-only, down to memory
-    that X's chain owns or an immutable bytes object."""
-    while isinstance(X, np.ndarray):
-        if X.flags.writeable:
-            return False
-        X = X.base
-    return X is None or isinstance(X, bytes)
-
-
 def data_operator(dataset) -> HermitianOperator:
     """S = sum_i f_i (x) f_i for a normalized dataset (trace 1).
 
     S is the product X^T conj(X), symmetrized in place, so it stays
     C-ordered and needs one d x d temporary (its conjugate) besides S.
-    S keeps the dataset's read-only (N, d) signal matrix X as its factor, so
-    spectral functions can solve the N x N Gram matrix conj(X) X^T, which has
-    the same nonzero eigenvalues, when N < d.  X is kept uncopied when no
-    writable array or buffer shares its memory, and copied otherwise, so a
-    later write cannot make the factor and the matrix disagree.
+    S keeps the dataset's (N, d) signal matrix X as its factor, so spectral
+    functions can solve the N x N Gram matrix conj(X) X^T, which has the
+    same nonzero eigenvalues, when N < d.
     """
-    X = dataset.signals  # (N, d)
-    if not _is_frozen(X):
-        X = X.copy()
-        X.setflags(write=False)
+    X = dataset.signals
     norms_sq = float(np.sum(np.abs(X) ** 2))
     if not abs(norms_sq - 1.0) <= 1e-8:  # so that a NaN signal fails too
         raise ValueError(f"dataset is not normalized: sum of squared norms is {norms_sq:.6g}")

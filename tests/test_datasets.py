@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.signal.windows import barthann
 import tfaug as T
 from tfaug.datasets import _barthann
 
-from conftest import rand_signal
+from conftest import rand_dataset, rand_signal
 
 
 class TestNormalize:
@@ -65,6 +66,28 @@ class TestDataSetMatrix:
         assert ds.signals[0, 0] != 99.0
         real = T.DataSet(np.ones((2, 3)))
         assert real.signals.dtype == np.complex128 and real.signals.flags.c_contiguous
+
+    def test_copies_a_read_only_view_of_a_writable_array(self, rng, tmp_path):
+        # a write to the base reaches neither the signals nor the factor
+        base = rand_dataset(rng, 3, 16).signals.copy()
+        view = base.view()
+        view.setflags(write=False)
+        ds = T.DataSet(view)
+        S = T.data_operator(ds)
+        assert ds.signals is not view and S._factor is ds.signals
+        before = ds.signals.copy()
+        base[0] *= 3.0
+        assert np.array_equal(ds.signals, before) and np.array_equal(S._factor, before)
+        # a frozen array that owns its memory, and a binary file's view of its
+        # bytes, are kept; the CSV reader's dataset views its parsed array
+        owned = base.copy()
+        owned.setflags(write=False)
+        assert T.DataSet(owned).signals is owned
+        T.write_signals(tmp_path / "s.bin", ds)
+        T.write_signals(tmp_path / "s.csv", ds)
+        read = T.read_signals(tmp_path / "s.bin").signals
+        assert T.DataSet(read).signals is read
+        assert T.read_signals(tmp_path / "s.csv").signals.base is not None
 
     def test_zero_length_signals_rejected(self):
         with pytest.raises(ValueError):
@@ -251,6 +274,17 @@ class TestTfWeighted:
     def test_normalized(self):
         ds = T.gen_random_tf_weighted(10, 64, seed=1)
         assert abs(ds.total_energy() - 1.0) < 1e-10
+
+
+    def test_peak_memory_is_near_its_result(self):
+        # the one (N, d) matrix is normalized in place, not copied
+        tracemalloc.start()
+        try:
+            ds = T.gen_random_tf_weighted(500, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * ds.signals.nbytes
 
 
 class TestGaussianCombos:

@@ -460,6 +460,57 @@ class TestCheckBounds:
         if last.verdict == "inconclusive":
             assert math.isnan(last.rhs) and math.isnan(last.tol) and last.ok
 
+    @pytest.mark.parametrize("value, clipped, accepted", [
+        (1.0 + 0.5e-8, 1.0, True), (1.0 + 2e-8, 1.0, False),
+        (-0.5e-8, 0.0, True), (-2e-8, 0.0, False),
+    ])
+    def test_symbol_clamp(self, rng, monkeypatch, value, clipped, accepted):
+        # f = L (x) S lies in [0, 1]: roundoff outside is clipped within
+        # 1e-8 max(1, max |f|) and raises beyond, naming the symbol
+        grids = tfaug.metrics._localization_grids
+
+        def run(entry):
+            def pushed(mask, S):
+                density, symbol = grids(mask, S)
+                symbol = symbol.copy()
+                symbol[3, 5] = entry
+                return density, symbol
+            monkeypatch.setattr(tfaug.metrics, "_localization_grids", pushed)
+            return T.check_bounds(S, dom)
+
+        d = 16
+        S, dom = rand_state(rng, 3, d), T.make_rect_domain(d, 2.0, 1.5)
+        if not accepted:
+            with pytest.raises(ValueError, match="symbol"):
+                run(value)
+            return
+        # both Berezin-Lieb sides read the clipped symbol
+        assert run(value)[5:7] == run(clipped)[5:7]
+
+    @pytest.mark.parametrize("excess, accepted", [(0.5e-8, True), (2e-8, False)])
+    def test_eigenvalue_clamp(self, rng, monkeypatch, excess, accepted):
+        # L's eigenvalues are at most 1: roundoff above is clipped within
+        # 1e-8 max(1, max lambda) and raises beyond, naming the eigenvalue
+        localize = tfaug.metrics.localize
+
+        def run(top):
+            def pushed(S, domain):
+                loc = localize(S, domain)
+                w = loc.eigenvalues.copy()
+                w[0] = top
+                return loc._replace(eigenvalues=w)
+            monkeypatch.setattr(tfaug.metrics, "localize", pushed)
+            return T.check_bounds(S, dom)
+
+        d = 16
+        S, dom = rand_state(rng, 3, d), T.make_rect_domain(d, 2.0, 1.5)
+        if not accepted:
+            with pytest.raises(ValueError, match="eigenvalue of L"):
+                run(1.0 + excess)
+            return
+        # general_berezin_lieb_lower reads the clipped lambda_1
+        assert run(1.0 + excess)[5] == run(1.0)[5]
+
     def test_fail_verdict(self):
         r = T.CheckResult("x", 1.0, 0.5, 1e-8, "fail")
         assert not r.ok and r.slack == -0.5

@@ -112,13 +112,13 @@ class TestDataOperator:
         assert T.data_operator(ds)._factor is ds.signals
 
     def test_copies_a_factor_that_a_writable_base_shares(self, rng):
-        # DataSet keeps a read-only view uncopied; a write to its base must
-        # not reach the factor, or the Gram spectrum would be another S's
+        # DataSet copies a read-only view of a writable array; a write to its
+        # base must not reach the factor, or the Gram spectrum would be another S's
         base = rand_dataset(rng, 3, 16).signals.copy()
         view = base.view()
         view.setflags(write=False)
         ds = T.DataSet(view)
-        assert ds.signals is view
+        assert ds.signals is not view
         S = T.data_operator(ds)
         assert S._factor is not view and not S._factor.flags.writeable
         assert np.array_equal(S._factor, view)
