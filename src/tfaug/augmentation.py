@@ -179,6 +179,6 @@ def augment_dataset(domain: Domain, dataset: DataSet, max_signals: int = 200_000
     m, n = domain.cells().T
     X = _tf_shifts(dataset.signals, m, n)
     X *= (domain.measure * domain.d) ** -0.5
-    X.setflags(write=False)  # so DataSet keeps it without a copy
+    X.setflags(write=False)
     label = f"augmented({dataset.label}, cells={len(m)})"
-    return DataSet(X.reshape(-1, dataset.d), dataset.seed, label)
+    return DataSet._kept(X.reshape(-1, dataset.d), dataset.seed, label)

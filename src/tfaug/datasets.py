@@ -17,11 +17,8 @@ class DataSet:
     """N equal-length signals as the rows of one read-only (N, d) complex
     matrix, with the provenance of their generator.
 
-    Built from a 2-d array or a sequence of 1-d signals.  The matrix is the
-    dataset's own, shared with no writable array: a C-ordered complex128
-    array read-only down to memory it owns, or to immutable bytes, is kept;
-    anything else (a read-only view of a writable array too) is copied once
-    and frozen."""
+    Built from a 2-d array or a sequence of 1-d signals, always copied into
+    a fresh, frozen, C-ordered complex128 matrix that no caller holds."""
 
     signals: np.ndarray
     seed: int | None = None
@@ -29,20 +26,22 @@ class DataSet:
 
     def __post_init__(self):
         X = self.signals
-        if len(X) == 0:
-            raise ValueError("dataset must be nonempty")
         if not (isinstance(X, np.ndarray) and X.ndim == 2):
-            rows = [np.asarray(s) for s in X]
-            if any(r.ndim != 1 or len(r) != len(rows[0]) for r in rows):
+            X = [np.asarray(s) for s in X]
+            if any(r.ndim != 1 or len(r) != len(X[0]) for r in X):
                 raise ValueError("all signals must share one dimension")
-            X = np.array(rows, dtype=complex)
-            X.setflags(write=False)
-        if X.shape[1] < 1:
-            raise ValueError("signals must have at least one sample")
-        if not (_is_frozen(X) and X.flags.c_contiguous and X.dtype == complex):
-            X = np.array(X, dtype=complex, order="C")
-            X.setflags(write=False)
-        object.__setattr__(self, "signals", X)
+        X = np.array(X, dtype=complex, order="C")
+        X.setflags(write=False)
+        object.__setattr__(self, "signals", _checked(X))
+
+    @classmethod
+    def _kept(cls, X: np.ndarray, seed: int | None = None, label: str = "") -> "DataSet":
+        """The dataset of X itself, uncopied, for the library's producers: X
+        is a fresh read-only C-ordered complex128 (N, d) matrix that nothing
+        else holds, or a view of immutable bytes."""
+        ds = object.__new__(cls)
+        ds.__dict__.update(signals=_checked(X), seed=seed, label=label)
+        return ds
 
     @property
     def d(self) -> int:
@@ -55,14 +54,12 @@ class DataSet:
         return _total_energy(self.signals)
 
 
-def _is_frozen(X: np.ndarray) -> bool:
-    """True when X and every array under it is read-only, down to memory
-    that X's chain owns or an immutable bytes object."""
-    while isinstance(X, np.ndarray):
-        if X.flags.writeable:
-            return False
-        X = X.base
-    return X is None or isinstance(X, bytes)
+def _checked(X: np.ndarray) -> np.ndarray:
+    if len(X) == 0:
+        raise ValueError("dataset must be nonempty")
+    if X.shape[1] < 1:
+        raise ValueError("signals must have at least one sample")
+    return X
 
 
 def _total_energy(X: np.ndarray) -> float:
@@ -83,7 +80,7 @@ def _normalized(X: np.ndarray, seed: int | None, label: str) -> DataSet:
         raise ValueError("cannot normalize an all-zero dataset")
     X *= total**-0.5
     X.setflags(write=False)
-    return DataSet(X, seed, label)
+    return DataSet._kept(X, seed, label)
 
 
 def _rng(N: int, d: int, seed: int) -> np.random.Generator:

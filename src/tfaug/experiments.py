@@ -470,7 +470,8 @@ def _random_instance(d, rng):
     N = int(rng.integers(2, 6))
     X = rng.standard_normal((N, d)) + 1j * rng.standard_normal((N, d))
     X /= math.sqrt(float(np.sum(np.abs(X) ** 2)))
-    S = data_operator(DataSet(X))
+    X.setflags(write=False)
+    S = data_operator(DataSet._kept(X))
     side = math.sqrt(d)
     w = float(rng.uniform(1.2, side * 0.7))
     h = float(rng.uniform(1.2, side * 0.7))

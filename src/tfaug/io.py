@@ -50,7 +50,7 @@ def read_signals_binary(path) -> DataSet:
         raise ValueError(f"{path}: truncated, expected {expect} bytes, got {len(raw)}")
     # a view of the bytes; re + 1j*im would turn a -0.0 real part into +0.0
     X = np.frombuffer(raw, dtype="<c16", count=N * d, offset=12).reshape(N, d)
-    return DataSet(_check_finite(path, X), label=f"file({Path(path).name})")
+    return DataSet._kept(_check_finite(path, X), label=f"file({Path(path).name})")
 
 
 def write_signals_csv(path, dataset: DataSet) -> None:
@@ -81,8 +81,9 @@ def read_signals_csv(path) -> DataSet:
     # numpy's C parser, with no comment or quote handling: every token must be
     # a whole float literal, or ValueError names its row and column
     X = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 2 * d))
-    X.setflags(write=False)  # so that DataSet keeps its complex view uncopied
-    return DataSet(_check_finite(path, X).view(np.complex128), label=f"file({Path(path).name})")
+    X.setflags(write=False)
+    X = _check_finite(path, X).view(np.complex128)
+    return DataSet._kept(X, label=f"file({Path(path).name})")
 
 
 def write_signals(path, dataset: DataSet) -> None:

@@ -117,61 +117,40 @@ def hermite(d: int, n: int) -> np.ndarray:
 
     Samples H_n(sqrt(2 pi) x) exp(-pi x^2) on the centered grid, then
     Gram-Schmidts against orders 0..n-1 so the family is exactly
-    orthonormal in C^d.  High orders overflow float64 in H_n at the grid's
-    edge and raise ValueError: from n = 199 at d = 280 and from n = 179 at
-    d = 512, so not every n < d is available for large d.
+    orthonormal in C^d.  Every order 0 <= n < d is finite and orthonormal.
     """
     return _hermite_family(d, n)[:, n]
-
-
-def _hermite_polys(n_max: int, y: np.ndarray) -> np.ndarray:
-    """Rows 0..n_max: the physicists' Hermite polynomials H_n(y).
-
-    A port of scipy's `eval_hermite`, equal to it bit for bit: H_n(y) =
-    He_n(sqrt(2) y) 2^(n/2), with He_n from the backward loop y3, y2 = 0, 1;
-    y3, y2 = y2, x y2 - k y3 for k = n..2; He_n = x y2 - y3.  Every order runs
-    in one pass: row n joins the loop at k = n.  Like scipy, it does not warn
-    when a value overflows to inf or becomes NaN.
-    """
-    x = np.sqrt(2) * y
-    He = np.empty((n_max + 1, len(y)))
-    He[0] = 1.0
-    He[1:2] = x  # a slice: no row 1 when n_max = 0
-    y3, y2, xy2 = np.empty((3, n_max + 1, len(y)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_max, 1, -1):
-            y3[k], y2[k] = 0.0, 1.0
-            np.multiply(x, y2[k:], out=xy2[k:])
-            y3[k:] *= k
-            np.subtract(xy2[k:], y3[k:], out=y3[k:])
-            y3, y2 = y2, y3
-        np.multiply(x, y2[2:], out=He[2:])
-        He[2:] -= y3[2:]
-        He *= np.array([2.0 ** (n / 2) for n in range(n_max + 1)])[:, None]
-    return He
 
 
 def _hermite_family(d: int, n_max: int) -> np.ndarray:
     """Columns 0..n_max of sampled, Gram-Schmidted Hermite functions.
 
-    Raises ValueError unless 0 <= n_max < d, and when a sampled function is
-    not finite: H_n overflows float64 at the grid's edges (from n = 199 at d = 280).
+    Row n of the samples is h_n = H_n(y) exp(-pi x^2) / sqrt(2^n n!),
+    y = sqrt(2 pi) x, from the normalized three-term recurrence (DLMF 18.9)
+    h_n = sqrt(2/n) y h_{n-1} - sqrt((n-1)/n) h_{n-2}, h_0 = exp(-pi x^2).
+    Each point holds h_n as a exp(e): the recurrence runs on a, and where
+    |a| passes 1e150 its last two terms shrink by 1e-150 while e grows to
+    match, so no order overflows and an underflowing exp(-pi x^2) at the
+    edges of a large grid zeroes no order that is not small there.
+    Raises ValueError unless 0 <= n_max < d.
     """
     if d < 4:
         raise ValueError(f"need d >= 4, got {d}")
     if not 0 <= n_max < d:
         raise ValueError(f"Hermite order must satisfy 0 <= n < d, got n={n_max}, d={d}")
     x = (np.arange(d) - d / 2) / np.sqrt(d)
-    H = _hermite_polys(n_max, np.sqrt(2 * np.pi) * x)
-    with np.errstate(invalid="ignore"):
-        H *= np.exp(-np.pi * x**2)
-    finite = np.isfinite(H).all(axis=1)
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise ValueError(
-            f"Hermite function of order {n} is not finite at d={d}: H_{n} overflows "
-            f"float64 at the grid's edges; orders 0..{n - 1} are finite"
-        )
+    y = np.sqrt(2 * np.pi) * x
+    e = -np.pi * x**2
+    H = np.empty((n_max + 1, d))
+    H[0] = np.exp(e)
+    a_prev, a = np.zeros(d), np.ones(d)
+    for n in range(1, n_max + 1):
+        a_prev, a = a, np.sqrt(2 / n) * y * a - np.sqrt((n - 1) / n) * a_prev
+        big = np.abs(a) > 1e150
+        a_prev[big] *= 1e-150
+        a[big] *= 1e-150
+        e[big] += np.log(1e150)
+        H[n] = a * np.exp(e)
     cols = np.ascontiguousarray(H.T, dtype=complex)
     # QR gives exactly the Gram-Schmidt orthonormalization of the columns
     q, r = np.linalg.qr(cols)

@@ -10,6 +10,7 @@ from scipy.signal.windows import barthann
 
 import tfaug as T
 from tfaug.datasets import _barthann
+from tfaug.experiments import _random_instance
 
 from conftest import rand_dataset, rand_signal
 
@@ -78,16 +79,41 @@ class TestDataSetMatrix:
         before = ds.signals.copy()
         base[0] *= 3.0
         assert np.array_equal(ds.signals, before) and np.array_equal(S._factor, before)
-        # a frozen array that owns its memory, and a binary file's view of its
-        # bytes, are kept; the CSV reader's dataset views its parsed array
-        owned = base.copy()
+        # a frozen array that owns its memory is copied too: its holder can
+        # make it writable again, and that write must not reach the dataset
+        owned = rand_dataset(rng, 3, 16).signals.copy()
         owned.setflags(write=False)
-        assert T.DataSet(owned).signals is owned
+        ds = T.DataSet(owned)
+        S = T.data_operator(ds)
+        before = ds.signals.copy()
+        owned.setflags(write=True)
+        owned[0, 0] = 9
+        assert np.array_equal(ds.signals, before) and np.array_equal(S._factor, before)
+        # the readers hand over their matrix uncopied: a binary file's signals
+        # view its bytes, the CSV reader's its parsed array
         T.write_signals(tmp_path / "s.bin", ds)
         T.write_signals(tmp_path / "s.csv", ds)
-        read = T.read_signals(tmp_path / "s.bin").signals
-        assert T.DataSet(read).signals is read
+        assert isinstance(T.read_signals(tmp_path / "s.bin").signals.base.base, bytes)
         assert T.read_signals(tmp_path / "s.csv").signals.base is not None
+
+    def test_producers_never_copy_through_the_public_constructor(self, monkeypatch, tmp_path):
+        # generators, readers and augmentation keep the one matrix they build
+        ds = T.gen_chirps(3, 16)
+        T.write_signals(tmp_path / "s.bin", ds)
+        T.write_signals(tmp_path / "s.csv", ds)
+
+        def refuse(self):
+            raise AssertionError("copied through DataSet(...)")
+
+        monkeypatch.setattr(T.DataSet, "__post_init__", refuse)
+        made = [
+            T.gen_chirps(3, 16), T.gen_local_components(3, 16, seed=1),
+            T.gen_random_tf_weighted(3, 16), T.gen_gaussian_combos(3, 16),
+            T.normalize_dataset(ds), T.augment_dataset(T.make_rect_domain(16, 1.5, 1.5), ds),
+            T.read_signals(tmp_path / "s.bin"), T.read_signals(tmp_path / "s.csv"),
+        ]
+        _random_instance(16, np.random.default_rng(0))  # bounds_suite's data operator
+        assert all(not m.signals.flags.writeable for m in made)
 
     def test_zero_length_signals_rejected(self):
         with pytest.raises(ValueError):

@@ -447,20 +447,24 @@ class TestExperimentConfig:
                      "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "hermite_mix.csv").exists()
 
-    def test_overflowing_hermite_order_exit_2(self, tmp_path, capsys):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"experiment": "hermite_mix", "d": 280, "n_max": 210}))
-        assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "Hermite function of order 199 is not finite at d=280" in err
+    @pytest.fixture
+    def failing_runner(self, monkeypatch):
+        # a config that passes every declared check but fails inside the runner
+        def refuse(config):
+            raise ValueError(f"no result at d={config.d}")
+        monkeypatch.setitem(CATALOG, "hermite_mix", (refuse, CATALOG["hermite_mix"][1]))
+
+    def test_runner_error_exit_2(self, tmp_path, capsys, failing_runner):
+        assert main(["experiment", "--experiment", "hermite_mix", "--d", "16",
+                     "--out", str(tmp_path)]) == 2
+        assert "no result at d=16" in capsys.readouterr().err
         assert not (tmp_path / "hermite_mix.csv").exists()
 
-    def test_failed_run_makes_no_directory(self, tmp_path):
+    def test_failed_run_makes_no_directory(self, tmp_path, failing_runner):
         # the output directory is made only once the runner has returned
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"experiment": "hermite_mix", "d": 280, "n_max": 210}))
         out = tmp_path / "res"
-        assert main(["experiment", "--config", str(conf), "--out", str(out)]) == 2
+        assert main(["experiment", "--experiment", "hermite_mix", "--d", "16",
+                     "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_hermite_order_at_d_exit_2(self, tmp_path, capsys):

@@ -120,6 +120,25 @@ class TestDiskOracle:
             # at d = 128, 280 and 512; the bound leaves a margin of 1.55x
             assert abs(loc.entropy + np.sum(p * np.log(p))) < 4.5e-4
 
+    @pytest.mark.parametrize("d", [128, 280, 512])
+    def test_gaussian_disk_eigenvectors_are_hermite(self, d):
+        # the eigenvector of the k-th largest eigenvalue is h_k, tested on the
+        # k < 40 whose eigenvalue is more than 1e-12 from both neighbours:
+        # eigh fixes a vector to about eps max(w) / gap, at most 1e-4 there
+        # (k < 22, k < 32 or 33, all 40 for R = 1, 1.5, 2); below that gap the
+        # eigenvalues sit at round-off and the vector is not determined
+        g = T.gaussian_window(d)
+        S = T.HermitianOperator(T.tensor_product(g, g))
+        h = np.column_stack([T.hermite(d, k) for k in range(40)])
+        for R in (1.0, 1.5, 2.0):
+            w, v = np.linalg.eigh(T.localize(S, T.Domain(disk_mask(d, R))).operator.matrix)
+            w, v = w[::-1], v[:, ::-1]
+            gap = np.minimum(np.r_[np.inf, -np.diff(w)], np.r_[-np.diff(w), np.inf])[:40]
+            tested = gap > 1e-12
+            overlap = np.abs(np.sum(v[:, :40].conj() * h, axis=0))[tested]
+            # measured |<v_k, h_k>| >= 0.99987 (d = 128, R = 1.5, k = 15)
+            assert tested[:22].all() and np.min(overlap) > 0.9995
+
 
 class TestDataOperatorSpectrum:
     @pytest.mark.parametrize("n, d, side", [

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import eval_hermite
 
 import tfaug as T
-from tfaug.tf_core import _hermite_polys, _tf_shifts, grid_reflect
+from tfaug.tf_core import _hermite_family, _tf_shifts, grid_reflect
 
 from conftest import rand_signal, rand_unit
 
@@ -150,21 +150,40 @@ class TestWindows:
         with pytest.raises(ValueError):
             T.hermite(8, 8)
 
-    @pytest.mark.parametrize("d", [4, 5, 16, 128])
-    def test_hermite_polys_are_scipy_eval_hermite(self, d):
-        # scipy is the oracle: every order on the sampling grid, bit for bit
+    @pytest.mark.parametrize("d", [4, 5, 16, 128, 280])
+    def test_hermite_family_is_scipy_eval_hermite(self, d):
+        # scipy's H_n(y) exp(-pi x^2) through the same QR and sign fix is the
+        # oracle, on every order where it is finite (n < 199 at d = 280)
         x = (np.arange(d) - d / 2) / np.sqrt(d)
         y = np.sqrt(2 * np.pi) * x
-        H = _hermite_polys(d - 1, y)
-        for n in range(d):
-            assert H[n].tobytes() == eval_hermite(n, y).tobytes(), n
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = np.array([eval_hermite(n, y) * np.exp(-np.pi * x**2) for n in range(d)])
+        k = int(np.isfinite(H).all(axis=1).sum())
+        q, r = np.linalg.qr(np.ascontiguousarray(H[:k].T, dtype=complex))
+        oracle = q * np.sign(np.diag(r).real)
+        gap = np.max(np.abs(_hermite_family(d, d - 1)[:, :k] - oracle), axis=0)
+        # a Gram-Schmidt column moves with the condition number kappa_n of
+        # the unit-scaled samples of orders 0..n: the top orders at d = 128
+        # are almost dependent on the grid (kappa up to 1.6e7, gap 1.1e-10);
+        # the measured gap is at most 4.6e-15 kappa_n at these five sizes
+        A = H[:k] / np.max(np.abs(H[:k]), axis=1, keepdims=True)
+        A /= np.linalg.norm(A, axis=1, keepdims=True)
+        r = np.linalg.qr(A.T, mode="r")
+        kappa = np.array([np.linalg.cond(r[:n + 1, :n + 1]) for n in range(k)])
+        assert np.all(gap < 2e-14 * kappa), np.argmax(gap / kappa)
 
-    # at d=1024 the Gaussian underflows to 0 at the edges, where H_n is inf
-    @pytest.mark.parametrize("d, first", [(280, 199), (512, 179), (1024, 163)])
-    def test_overflowing_order_raises(self, d, first):
-        with pytest.raises(ValueError, match=f"order {first} is not finite at d={d}"):
-            T.hermite(d, first)
-        assert np.isfinite(T.hermite(d, first - 1)).all()
+    @pytest.mark.parametrize("d", [280, 512, 1024])
+    def test_every_order_finite_and_orthonormal(self, d):
+        F = _hermite_family(d, d - 1)
+        assert np.isfinite(F).all()
+        # measured defect 1.1e-15 at all three sizes
+        assert np.max(np.abs(F.conj().T @ F - np.eye(d))) < 5e-15
+        if d == 1024:
+            # exp(-pi x^2) underflows to 0 at 39 edge points, where the top
+            # orders still oscillate: their mass there is at least 0.085
+            x = (np.arange(d) - d / 2) / np.sqrt(d)
+            edge = np.exp(-np.pi * x**2) == 0
+            assert np.min(np.linalg.norm(F[edge, 900:], axis=0)) > 0.05
 
 
 class TestGridOps:
