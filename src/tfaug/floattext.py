@@ -5,13 +5,12 @@ chunk of values.
 chunk as ASCII bytes, and `float_rows(X)` joins that stream; each value is
 byte for byte `repr(float(v))`: the shortest decimal that reads back to the
 same double, the one nearest to it when several are that short.  The
-digits come from Schubfach (R. Giulietti, "The Schubfach way to render
-doubles", 2020; the algorithm of Java's `Double.toString`), which needs
-only 64-bit integer products and one table of powers of ten, so every step
-is a numpy operation over a chunk of values.  One deviation from Java:
-Java keeps at least two digits (its `s >= 100` guard and its rescale of
-the three smallest subnormals); `repr` keeps the shortest, so the guard is
-`s >= 10` and there is no rescale (`8e-323`, not `7.9e-323`).
+digits come from Dragonbox (J. Jeon, "Dragonbox: A New Floating-Point
+Binary-to-Decimal Conversion Algorithm", 2020) for binary64 and
+round-to-nearest-even: one 64 x 128-bit product per value against a table
+of 128-bit powers of ten, so every step is a numpy operation over a chunk
+of values.  Zeros, infinities and nans need no digits: a chunk that holds
+any runs the search on its finite nonzero values alone.
 """
 
 from collections.abc import Iterator
@@ -19,9 +18,11 @@ from collections.abc import Iterator
 import numpy as np
 
 _U = np.uint64
+_32 = _U(32)
 _M32 = _U(0xFFFFFFFF)
-_M63 = _U((1 << 63) - 1)
-_K_MIN, _K_MAX = -324, 292  # the decimal exponents k of the algorithm
+_K_MIN, _K_MAX = -292, 326  # the exponents k of the cached powers 10^k
+_KAPPA = 2  # Dragonbox's kappa for binary64
+_BIG, _SMALL = _U(10 ** (_KAPPA + 1)), _U(10**_KAPPA)
 _CHUNK = 1 << 13  # values per pass; whole-grid temporaries page-fault
 _DIGITS = 17  # a double needs at most 17 significant digits
 
@@ -38,82 +39,120 @@ def _flog2pow10(e):  # floor(e log2(10))
     return (e * 913124641741) >> 38
 
 
-def _g_table():
-    """g = floor(10^-k 2^-r) + 1 with 2^125 <= g < 2^126, per k: g1 = g >> 63
-    and the 32-bit halves of g1 and of g0 = g mod 2^63."""
-    g1, g0 = [], []
+def _cache_table():
+    """phi_k = ceil(10^k 2^(127 - floor(log2 10^k))), so 2^127 <= phi_k < 2^128,
+    per k as its high and low 64 bits."""
+    phi = []
     for k in range(_K_MIN, _K_MAX + 1):
-        r = _flog2pow10(-k) - 125
-        if k <= 0:
-            g = (10**-k << -r if r < 0 else 10**-k >> r) + 1
+        p = 10 ** abs(k)
+        if k < 0:  # 10^-k is no power of two: floor(log2 10^k) = -bit_length(10^-k)
+            phi.append(-(-(1 << (127 + p.bit_length())) // p))
         else:
-            g = (1 << -r) // 10**k + 1
-        g1.append(g >> 63)
-        g0.append(g & ((1 << 63) - 1))
-    g1, g0 = np.array(g1, dtype=_U), np.array(g0, dtype=_U)
-    return g1, g1 & _M32, g1 >> _U(32), g0 & _M32, g0 >> _U(32)
+            shift = 128 - p.bit_length()
+            phi.append(p << shift if shift >= 0 else -(-p >> -shift))
+    return np.array([v >> 64 for v in phi], _U), np.array([v & (2**64 - 1) for v in phi], _U)
 
 
-_G1, _G1_LO, _G1_HI, _G0_LO, _G0_HI = _g_table()
-_ONE = _U(0x3FF0000000000000)  # the bits of 1.0
+_HI, _LO = _cache_table()
+_HI0, _HI1, _LO0, _LO1 = _HI & _M32, _HI >> _32, _LO & _M32, _LO >> _32
 _POW10 = np.array([10**i for i in range(_DIGITS + 1)], dtype=_U)
 
 
 def _mulhi(a0, a1, b0, b1):
-    """High 64 bits of (a1 2^32 + a0)(b1 2^32 + b0) for 32-bit a0, b0, a1 < 2^31
-    and b1 < 2^27: the middle sum below cannot overflow."""
-    mid = ((a0 * b0) >> _U(32)) + a1 * b0 + a0 * b1
-    return a1 * b1 + (mid >> _U(32))
+    """High 64 bits of (a1 2^32 + a0)(b1 2^32 + b0) for 32-bit a0, b0, b1 and
+    a1 < 2^31: the middle sum below cannot overflow."""
+    a0b1 = a0 * b1
+    mid = ((a0 * b0) >> _32) + (a0b1 & _M32) + a1 * b0
+    return a1 * b1 + (a0b1 >> _32) + (mid >> _32)
 
 
-def _round_to_odd(g, cp):
-    """floor(cp g / 2^127) with its lowest bit set when the fraction is not 0,
-    for cp < 2^59 and g = g1 2^63 + g0 given as (g1, g1 halves, g0 halves)."""
-    g1, g1_lo, g1_hi, g0_lo, g0_hi = g
-    c0, c1 = cp & _M32, cp >> _U(32)
-    z = ((g1 * cp) >> _U(1)) + _mulhi(g0_lo, g0_hi, c0, c1)
-    vbp = _mulhi(g1_lo, g1_hi, c0, c1) + (z >> _U(63))
-    return vbp | (((z & _M63) + _M63) >> _U(63))
+def _mul_parity(two_f, i, beta):
+    """The lowest bit of floor(two_f phi 2^(beta - 128)), phi = _HI[i] 2^64 +
+    _LO[i], and whether that quotient is exact, for two_f < 2^55."""
+    high = two_f * _HI[i] + _mulhi(two_f & _M32, two_f >> _32, _LO0[i], _LO1[i])
+    parity = ((high >> (_U(64) - beta)) & _U(1)).astype(bool)
+    exact = ((high << beta) | ((two_f * _LO[i]) >> (_U(64) - beta))) == 0
+    return parity, exact
+
+
+def _shorter_interval(e):
+    """(f, x) with f 10^x the shortest nearest decimal of each power of two
+    2^(52 + e), a normal double whose gap below is half the gap above."""
+    k = -_flog10_three_quarters_pow2(e)
+    beta = (e + _flog2pow10(k)).astype(_U)
+    hi = _HI[k - _K_MIN]
+    # the interval's ends times 10^k, both kept (an even significand); the left
+    # end is an integer for e = 2, 3 only, else the least integer above it
+    left = ((hi - (hi >> _U(54))) >> (_U(11) - beta)) + ((e < 2) | (e > 3))
+    right = (hi + (hi >> _U(53))) >> (_U(11) - beta)
+    s = right // _U(10)
+    one_fewer = s * _U(10) >= left
+    up = ((hi >> (_U(10) - beta)) + _U(1)) >> _U(1)  # 2^e 10^k rounded half up
+    tie = (e == -77) & ((up & _U(1)) == 1)  # the only exact half: round it to even
+    up = np.where(tie, up - _U(1), up + (up < left))
+    return np.where(one_fewer, s * _U(10), up), -k
 
 
 def _shortest(bits):
-    """(f, k) with f 10^k the shortest nearest decimal of each finite,
-    nonzero double given by its bits."""
+    """(f, x) with f 10^x the shortest nearest decimal of each finite,
+    nonzero double given by its bits, c 2^e with c < 2^53."""
     bq = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
     t = bits & _U((1 << 52) - 1)
-    c = np.where(bq > 0, t | _U(1 << 52), t)
-    q = np.maximum(bq, 1) - 1075
-    irregular = (t == 0) & (bq > 1)  # a power of two: the gap below is half the gap above
-    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10pow2(q))
-    h = (q + _flog2pow10(-k) + 2).astype(_U)
+    two_fc = np.where(bq > 0, t | _U(1 << 52), t) << _U(1)  # 2 c
+    e = np.maximum(bq, 1) - 1075
+    k = _KAPPA - _flog10pow2(e)
+    beta = (e + _flog2pow10(k)).astype(_U)
     i = k - _K_MIN
-    g = _G1[i], _G1_LO[i], _G1_HI[i], _G0_LO[i], _G0_HI[i]
-    out = c & _U(1)  # odd c: the rounding interval excludes its ends
-    cb = c << _U(2)
-    vb = _round_to_odd(g, cb << h)
-    vbl = _round_to_odd(g, (cb - np.where(irregular, _U(1), _U(2))) << h) + out
-    vbr = _round_to_odd(g, (cb + _U(2)) << h) - out
-    s = vb >> _U(2)
-    # one digit fewer: u' = 10 floor(s/10) or w' = u' + 10, if exactly one lies inside
-    sp10 = (s // _U(10)) * _U(10)
-    upin = vbl <= sp10 << _U(2)
-    wpin = (sp10 + _U(10)) << _U(2) <= vbr
-    short = (s >= _U(10)) & (upin != wpin)
-    # else u = s or w = s + 1: the one inside, or the nearer one (ties to even)
-    uin = vbl <= s << _U(2)
-    win = (s + _U(1)) << _U(2) <= vbr
-    mid = (s << _U(2)) + _U(2)
-    nearer_s = (vb < mid) | ((vb == mid) & ((s & _U(1)) == 0))
-    pick_s = np.where(uin != win, uin, nearer_s)
-    f = np.where(short, np.where(upin, sp10, sp10 + _U(10)), s + (~pick_s).astype(_U))
-    return f, k
+    hi = _HI[i]
+    # the right end of the rounding interval, (2 c + 1) 2^(e - 1), times 10^k:
+    # its floor z, and mid = 0 when it is an integer
+    u = (two_fc | _U(1)) << beta
+    u0, u1 = u & _M32, u >> _32
+    low = u * hi
+    mid = low + _mulhi(u0, u1, _LO0[i], _LO1[i])
+    z = _mulhi(u0, u1, _HI0[i], _HI1[i]) + (mid < low)
+    delta = hi >> (_U(63) - beta)  # the interval's width times 10^k, floored
+    # one digit fewer: s 10^(kappa + 1) is inside the interval when r < delta;
+    # an interval keeps its ends only when the significand is even
+    s = z // _BIG
+    r = z - s * _BIG
+    one_fewer = r < delta
+    at_left = np.flatnonzero(r == delta)  # decided by the left end's fraction
+    if at_left.size:
+        parity, exact = _mul_parity(two_fc[at_left] - _U(1), i[at_left], beta[at_left])
+        one_fewer[at_left] = parity | (exact & ((t[at_left] & _U(1)) == 0))
+    at_right = np.flatnonzero(r == 0)
+    at_right = at_right[(mid[at_right] == 0) & ((t[at_right] & _U(1)) == 1)]
+    if at_right.size:  # s is the right end itself, which is left out
+        one_fewer[at_right] = False
+        s[at_right] -= _U(1)
+        r[at_right] = _BIG
+    # else the multiple of 10^kappa nearest to the value: an estimate from r,
+    # one too high at most when it is exact, which the parity decides
+    dist = r - (delta >> _U(1)) + (_SMALL >> _U(1))
+    q = dist // _SMALL
+    f = np.where(one_fewer, s * _U(10), s * _U(10) + q)
+    check = np.flatnonzero((dist == q * _SMALL) & ~one_fewer)
+    if check.size:
+        parity, exact = _mul_parity(two_fc[check], i[check], beta[check])
+        approx = ((dist[check] ^ (_SMALL >> _U(1))) & _U(1)).astype(bool)
+        odd = (f[check] & _U(1)).astype(bool)
+        f[check] -= (parity != approx) | (exact & odd)  # below y, or a tie kept even
+    x = _KAPPA - k
+    pow2 = np.flatnonzero(t == 0)
+    pow2 = pow2[bq[pow2] > 0]
+    if pow2.size:
+        f[pow2], x[pow2] = _shorter_interval(e[pow2])
+    return f, x
 
 
 # The columns of a chunk's character table: per value the 17 digits of its
-# normalized significand and the separator after it, then characters common
-# to all values (the last a 0 byte that pads every token to _WIDTH), then per
-# value its exponent's sign and three digits, written as one 4-byte word.
-_SEP, _COMMON = _DIGITS, _DIGITS + 1
+# normalized significand, the leading one then four 4-byte words of four, and
+# the separator after them, then characters common to all values (the last a
+# 0 byte that pads every token to _WIDTH), then per value its exponent's sign
+# and three digits, written as one 4-byte word.
+_LEAD = 3  # the four words of digits then fill uint32 columns 1-4
+_SEP, _COMMON = _LEAD + _DIGITS, _LEAD + _DIGITS + 1
 _COMMON_TEXT = b".0-enaninf\0"
 _POINT, _ZERO, _MINUS, _E, _NAN, _INF, _PAD = (
     _COMMON + _COMMON_TEXT.index(c) for c in (b".", b"0", b"-", b"e", b"nan", b"inf", b"\0")
@@ -126,68 +165,82 @@ _E_MIN = -324  # 5e-324
 _EXPONENTS = np.frombuffer(
     "".join(f"{'-' if e < 0 else '+'}{abs(e):03d}" for e in range(_E_MIN, 309)).encode(), np.uint32
 )
+# per w < 10^4: its four digits as one 4-byte word, and its trailing zeros (4 for 0)
+_FOUR = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0")))
+_WORDS = _FOUR.view(np.uint32).ravel()
+_TRAILING = np.zeros(10**4, np.uint8)
+for _zero in (_FOUR == ord("0")).T:  # a zero digit adds one to the zeros before it
+    _TRAILING = _zero * (_TRAILING + 1)
 
 
-def _layout(kind, n, sign):
-    """Column indices spelling one token; kind is an exponent E for positional
-    text, 'e' or 'e3' for scientific text with 2 or 3 exponent digits, 'nan' or 'inf'."""
-    cols = [_MINUS] if sign else []
+def _layout(kind, n):
+    """Column indices spelling one token of a positive value with n significant
+    digits; kind is an exponent E for positional text, 'e' or 'e3' for
+    scientific text with 2 or 3 exponent digits, 'nan' or 'inf'."""
+    digit = range(_LEAD, _LEAD + _DIGITS)
+    cols = []
     if kind in ("nan", "inf"):
         cols += [(_NAN if kind == "nan" else _INF) + i for i in range(3)]
     elif kind in ("e", "e3"):
-        cols += [0] + ([_POINT, *range(1, n)] if n > 1 else [])
+        cols += [digit[0]] + ([_POINT, *digit[1:n]] if n > 1 else [])
         cols += [_E, _EXP] + ([_EXP + 1] if kind == "e3" else []) + [_EXP + 2, _EXP + 3]
     elif kind < 0:  # 0.000ddd
-        cols += [_ZERO, _POINT] + [_ZERO] * (-kind - 1) + list(range(n))
+        cols += [_ZERO, _POINT] + [_ZERO] * (-kind - 1) + list(digit[:n])
     else:  # ddd.ddd, with the zero-padded digits for ddd0.0
-        cols += [*range(kind + 1), _POINT, *range(kind + 1, max(n, kind + 2))]
+        cols += [*digit[: kind + 1], _POINT, *digit[kind + 1 : max(n, kind + 2)]]
     return cols + [_SEP] + [_PAD] * (_WIDTH - 1 - len(cols))
 
 
 _KINDS = [*_POSITIONAL, "e", "e3", "nan", "inf"]
-_LAYOUTS = np.array(
-    [_layout(kind, n, sign) for sign in (0, 1) for kind in _KINDS for n in range(1, _DIGITS + 1)],
-    dtype=np.uint8,
-)
+_LAYOUTS = np.array([_layout(kind, n) for kind in _KINDS for n in range(1, _DIGITS + 1)], dtype=np.uint8)
+# then a negative value's: '-' and the positive one's, which never fills its last column
+_LAYOUTS = np.concatenate([_LAYOUTS, np.insert(_LAYOUTS[:, :-1], 0, _MINUS, axis=1)])
 
 
 def _tokens(x, sep, chars):
     """`repr` of each value of the 1-d chunk x followed by its byte of sep (0:
-    none), as one row of _WIDTH bytes per value, padded with 0 bytes.  chars
-    is the character table, its common columns filled."""
+    none), as ASCII bytes.  chars is the character table, its common columns
+    filled."""
     m = len(x)
     bits = x.view(_U)
-    nan, inf = np.isnan(x), np.isinf(x)
-    finite = ~(nan | inf) & (x != 0)
-    f, k = _shortest(np.where(finite, bits, _ONE))
+    search = np.isfinite(x)
+    search &= x != 0
+    if search.all():
+        f, x10 = _shortest(bits)
+    else:  # the rest keep f = 0 with no digits, so E = x10 - 1 = 0
+        f, x10 = np.zeros(m, _U), np.ones(m, np.int64)
+        f[search], x10[search] = _shortest(bits[search])
     # normalize f to 17 digits, f 10^(17 - len), and E to the scientific exponent
     length = np.searchsorted(_POW10, f, side="right")
-    E = np.where(finite, k + length - 1, 0)
-    f = np.where(finite, f * _POW10[_DIGITS - length], _U(0))
-    parts = [(f // _U(10**9)).astype(np.uint32), (f % _U(10**9)).astype(np.uint32)]
-    digits = np.empty((_DIGITS, m), dtype=np.uint8)
-    n = np.full(m, _DIGITS)  # significant digits: 17 less the trailing zeros
-    trailing = np.ones(m, dtype=bool)
-    for j in range(_DIGITS - 1, -1, -1):
-        part = parts[j >= _DIGITS - 9]
-        q = part // np.uint32(10)
-        digits[j] = part - q * np.uint32(10)
-        part[:] = q
-        trailing &= digits[j] == 0
-        n -= trailing
-    digits += ord("0")
-    n[~finite] = 1
+    E = x10 + length - 1
+    lead = (f * _POW10[_DIGITS - length]).astype(np.intp)
+    words = np.empty((m, 4), np.intp)  # digits 1-16 as four numbers of four, leaving digit 0
+    for j in (3, 2, 1, 0):
+        high = lead // 10**4
+        words[:, j] = lead - high * 10**4
+        lead = high
+    # 17 significant digits less the trailing zeros, counted word by word
+    trailing = _TRAILING.take(words)
+    zero = words == 0
+    count = trailing[:, 0]
+    for j in (1, 2, 3):
+        count = trailing[:, j] + zero[:, j] * count
+    n = _DIGITS - count.astype(np.intp)
     chars = chars[:m]
-    chars[:, :_DIGITS] = digits.T
-    chars.view(np.uint32)[:, _EXP // 4] = _EXPONENTS[E - _E_MIN]
+    chars[:, _LEAD] = lead + ord("0")
+    table = chars.view(np.uint32)
+    table[:, 1:5] = _WORDS.take(words)
+    table[:, _EXP // 4] = _EXPONENTS[E - _E_MIN]
     chars[:, _SEP] = sep
     kind = np.where((E >= -4) & (E < 16), E + 4, len(_POSITIONAL) + (np.abs(E) >= 100))
+    nan = np.isnan(x)
     kind[nan] = len(_KINDS) - 2
-    kind[inf] = len(_KINDS) - 1
+    kind[np.isinf(x)] = len(_KINDS) - 1
     sign = (bits >> _U(63)).astype(bool) & ~nan
     layout = (sign * len(_KINDS) + kind) * _DIGITS + n - 1
-    index = np.add(_LAYOUTS[layout], (np.arange(m) * chars.shape[1])[:, None])
-    return chars.ravel().take(index)
+    index = np.add(_LAYOUTS.take(layout, axis=0), (np.arange(m) * chars.shape[1])[:, None])
+    tokens = chars.ravel().take(index)
+    return tokens[tokens != 0].tobytes()
 
 
 def float_chunks(X) -> Iterator[bytes]:
@@ -208,9 +261,7 @@ def float_chunks(X) -> Iterator[bytes]:
     chars = np.empty((min(flat.size, _CHUNK), _TABLE_WIDTH), dtype=np.uint8)
     chars[:, _COMMON : _PAD + 1] = np.frombuffer(_COMMON_TEXT, np.uint8)
     for i in range(0, flat.size, _CHUNK):
-        tokens = _tokens(flat[i : i + _CHUNK], sep[i : i + _CHUNK], chars)
-        # bytes of a fixed-width string lose their trailing 0 bytes in tolist
-        yield b"".join(tokens.view(f"S{_WIDTH}").ravel().tolist())
+        yield _tokens(flat[i : i + _CHUNK], sep[i : i + _CHUNK], chars)
 
 
 def float_rows(X) -> str:

@@ -10,6 +10,7 @@ holds the whole text.  Round trips are bit exact.  The readers reject a
 file that holds a NaN or an inf, or an empty signal.
 """
 
+import itertools
 import json
 import math
 import struct
@@ -64,26 +65,41 @@ def write_signals_csv(path, dataset: DataSet) -> None:
 
 
 def read_signals_csv(path) -> DataSet:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing '# d=... n=...' header")
-    header = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
-    for key in ("d", "n"):
-        if not header.get(key, "").isdecimal():
-            raise ValueError(f"{path}: header {lines[0]!r} lacks a '{key}=<count>' field")
-    d, N = int(header["d"]), int(header["n"])
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    with open(path) as fh:
+        head = fh.readline().rstrip("\n")
+        if not head.startswith("#"):
+            raise ValueError(f"{path}: missing '# d=... n=...' header")
+        header = dict(tok.partition("=")[::2] for tok in head.lstrip("# ").split())
+        for key in ("d", "n"):
+            if not header.get(key, "").isdecimal():
+                raise ValueError(f"{path}: header {head!r} lacks a '{key}=<count>' field")
+        d, N = int(header["d"]), int(header["n"])
+        first = next((ln for ln in fh if ln.strip()), "")  # loadtxt warns when it finds no row
+        try:
+            # numpy's C parser, with no comment or quote handling: every token
+            # must be a whole float literal, and only empty lines are skipped
+            rows = itertools.chain([first], fh)
+            X = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if first else np.empty((0, 2 * d))
+        except ValueError:  # a malformed row, or a line of blanks
+            X = None
+    if X is None or X.shape != (N, 2 * d):
+        X = _csv_rows(path, d, N)
+    X.setflags(write=False)
+    X = _check_finite(path, X).view(np.complex128)
+    return DataSet._kept(X, label=f"file({Path(path).name})")
+
+
+def _csv_rows(path, d: int, N: int) -> np.ndarray:
+    """The data rows of the CSV file at path, for a file the one-pass read
+    rejects: blank lines skipped, the row count and each row's column count
+    checked before parsing, so the ValueError names what is wrong."""
+    rows = [ln for ln in Path(path).read_text().splitlines()[1:] if ln.strip()]
     if len(rows) != N:
         raise ValueError(f"{path}: header says {N} signals, found {len(rows)} rows")
     for ln in rows:
         if ln.count(",") + 1 != 2 * d:
             raise ValueError(f"{path}: row has {ln.count(',') + 1} columns, expected {2 * d}")
-    # numpy's C parser, with no comment or quote handling: every token must be
-    # a whole float literal, or ValueError names its row and column
-    X = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 2 * d))
-    X.setflags(write=False)
-    X = _check_finite(path, X).view(np.complex128)
-    return DataSet._kept(X, label=f"file({Path(path).name})")
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows else np.empty((0, 2 * d))
 
 
 def write_signals(path, dataset: DataSet) -> None:

@@ -1,10 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tfaug.floattext import _CHUNK, float_chunks, float_rows
+from tfaug.floattext import _CHUNK, _HI, _K_MAX, _K_MIN, _LO, _flog2pow10, float_chunks, float_rows
 
 
 def oracle(X) -> str:
@@ -99,3 +102,33 @@ def test_rejects_other_arrays(X):
 def test_strided_view():
     X = np.random.default_rng(9).standard_normal((6, 10))[:, ::3].T
     assert_rows(X)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0], [-0.0], [0.0, -0.0], [np.nan], [np.inf, -np.inf], [np.nan, np.inf, -np.inf, -np.nan]],
+)
+def test_chunks_with_nothing_to_search(values):
+    # whole chunks of zeros or non-finite values, which hold no digits to search for
+    X = np.resize(np.array(values), 2 * _CHUNK + 3).reshape(1, -1)
+    assert_rows(X)
+    assert_rows(X.reshape(-1, 1))
+
+
+def test_zeros_straddling_a_chunk_boundary():
+    X = np.random.default_rng(11).standard_normal(3 * _CHUNK)
+    X[_CHUNK - 40 : _CHUNK + 60] = 0.0
+    X[2 * _CHUNK - 3 : 2 * _CHUNK + 2] = -0.0
+    assert_rows(X.reshape(-1, 64))
+
+
+def test_dragonbox_cache_matches_exact_powers_of_ten():
+    # phi_k = ceil(10^k 2^(127 - floor(log2 10^k))), from exact rationals
+    for k in range(_K_MIN, _K_MAX + 1):
+        p = Fraction(10) ** k
+        e = math.floor(k * math.log2(10))
+        e += (Fraction(2) ** (e + 1) <= p) - (Fraction(2) ** e > p)
+        assert Fraction(2) ** e <= p < Fraction(2) ** (e + 1)
+        assert _flog2pow10(k) == e, k
+        phi = math.ceil(p * Fraction(2) ** (127 - e))
+        assert (int(_HI[k - _K_MIN]) << 64) | int(_LO[k - _K_MIN]) == phi, k
