@@ -76,6 +76,10 @@ def make_rect_domain(
     width (time axis) and height (frequency axis) around center.
     """
     k = signed_indices(d)
+    given = {"width": float(width), "height": float(height), "center": tuple(map(float, center))}
+    for name, value in given.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"rectangle {name} must be finite, got {value}")
     if width <= 0 or height <= 0:
         raise ValueError("width and height must be positive")
     side = math.sqrt(d)

@@ -11,6 +11,11 @@ round-to-nearest-even: one 64 x 128-bit product per value against a table
 of 128-bit powers of ten, so every step is a numpy operation over a chunk
 of values.  Zeros, infinities and nans need no digits: a chunk that holds
 any runs the search on its finite nonzero values alone.
+
+Text is made by deletion: each value's row holds, in text order, every
+character any token can need, and is AND-ed with a keep-mask for its
+layout (positional or scientific, digit count, sign, nan or inf); one
+`bytes.translate` then deletes a chunk's zero bytes.
 """
 
 from collections.abc import Iterator
@@ -146,65 +151,74 @@ def _shortest(bits):
     return f, x
 
 
-# The columns of a chunk's character table: per value the 17 digits of its
-# normalized significand, the leading one then four 4-byte words of four, and
-# the separator after them, then characters common to all values (the last a
-# 0 byte that pads every token to _WIDTH), then per value its exponent's sign
-# and three digits, written as one 4-byte word.
-_LEAD = 3  # the four words of digits then fill uint32 columns 1-4
-_SEP, _COMMON = _LEAD + _DIGITS, _LEAD + _DIGITS + 1
-_COMMON_TEXT = b".0-enaninf\0"
-_POINT, _ZERO, _MINUS, _E, _NAN, _INF, _PAD = (
-    _COMMON + _COMMON_TEXT.index(c) for c in (b".", b"0", b"-", b"e", b"nan", b"inf", b"\0")
-)
-_EXP = 32  # 4-byte aligned: one uint32 column of the table
-_TABLE_WIDTH = _EXP + 4
-_WIDTH = 25  # '-1.2345678901234567e-308' and its separator
+# A value's row holds, in text order, every character one of its tokens can
+# need; its token is the row AND-ed with a keep-mask, the zero bytes deleted.
+# Per chunk the digits are written, the 16 after the first as four 8-byte
+# words of four digits with their point slots, the exponent word, the
+# separator, and a nan's or an inf's letters over the first three digits.
+_ROW = np.frombuffer(b"-0.000" + b"0." * _DIGITS + b"e+000,\0\0", np.uint8)
+_WIDTH = len(_ROW)  # 48: six 8-byte words
+_LEAD = 6  # digit k at _LEAD + 2 k, its point slot after it
+_EXP = _LEAD + 2 * _DIGITS  # the 8-byte word 'e', exponent sign, three digits, separator
+_SEP = _EXP + 5
 _POSITIONAL = range(-4, 16)  # exponents written without 'e': 0.0001 ... 9999999999999998.0
+_KINDS = [*_POSITIONAL, "e", "e3", "nan", "inf"]
 _E_MIN = -324  # 5e-324
-_EXPONENTS = np.frombuffer(
-    "".join(f"{'-' if e < 0 else '+'}{abs(e):03d}" for e in range(_E_MIN, 309)).encode(), np.uint32
+_EXPONENTS = np.frombuffer(b"".join(b"e%+04d\0\0\0" % e for e in range(_E_MIN, 309)), _U)
+_KIND_OF = np.array(  # per E - _E_MIN: the index of E's kind in _KINDS
+    [E + 4 if E in _POSITIONAL else len(_POSITIONAL) + (abs(E) >= 100) for E in range(_E_MIN, 309)]
 )
-# per w < 10^4: its four digits as one 4-byte word, and its trailing zeros (4 for 0)
-_FOUR = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0")))
-_WORDS = _FOUR.view(np.uint32).ravel()
+# per w < 10^4: its four digits with their point slots as one 8-byte word, and
+# its trailing zeros (4 for 0)
+_FOUR = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+_WORDS = np.repeat(_FOUR, 2, axis=1)
+_WORDS[:, 1::2] = ord(".")
+_WORDS = _WORDS.view(_U).ravel()
 _TRAILING = np.zeros(10**4, np.uint8)
 for _zero in (_FOUR == ord("0")).T:  # a zero digit adds one to the zeros before it
     _TRAILING = _zero * (_TRAILING + 1)
 
 
-def _layout(kind, n):
-    """Column indices spelling one token of a positive value with n significant
-    digits; kind is an exponent E for positional text, 'e' or 'e3' for
+def _keep(kind, negative):
+    """Which characters of a row spell a token, one mask per digit count n =
+    1..17; kind is an exponent E for positional text, 'e' or 'e3' for
     scientific text with 2 or 3 exponent digits, 'nan' or 'inf'."""
-    digit = range(_LEAD, _LEAD + _DIGITS)
-    cols = []
-    if kind in ("nan", "inf"):
-        cols += [(_NAN if kind == "nan" else _INF) + i for i in range(3)]
+    n = np.arange(1, _DIGITS + 1)[:, None]
+    k = np.arange(_DIGITS)
+    digits, point, prefix, exponent = k < n, False, 0, False  # prefix: kept of '0.000'
+    if kind in ("nan", "inf"):  # the letters in digit slots 0-2
+        digits = k < 3
     elif kind in ("e", "e3"):
-        cols += [digit[0]] + ([_POINT, *digit[1:n]] if n > 1 else [])
-        cols += [_E, _EXP] + ([_EXP + 1] if kind == "e3" else []) + [_EXP + 2, _EXP + 3]
-    elif kind < 0:  # 0.000ddd
-        cols += [_ZERO, _POINT] + [_ZERO] * (-kind - 1) + list(digit[:n])
+        point = (k == 0) & (n > 1)
+        exponent = [True, True, kind == "e3", True, True]
+    elif kind < 0:  # '0.', -kind - 1 zeros, the digits
+        prefix = 1 - kind
     else:  # ddd.ddd, with the zero-padded digits for ddd0.0
-        cols += [*digit[: kind + 1], _POINT, *digit[kind + 1 : max(n, kind + 2)]]
-    return cols + [_SEP] + [_PAD] * (_WIDTH - 1 - len(cols))
+        digits = k < np.maximum(n, kind + 2)
+        point = k == kind
+    keep = np.zeros((_DIGITS, _WIDTH), bool)
+    keep[:, 0] = negative and kind != "nan"  # a nan has no sign
+    keep[:, 1 : 1 + prefix] = True
+    keep[:, _LEAD:_EXP:2] = digits
+    keep[:, _LEAD + 1 : _EXP : 2] = point
+    keep[:, _EXP:_SEP] = exponent
+    keep[:, _SEP] = True
+    return keep
 
 
-_KINDS = [*_POSITIONAL, "e", "e3", "nan", "inf"]
-_LAYOUTS = np.array([_layout(kind, n) for kind in _KINDS for n in range(1, _DIGITS + 1)], dtype=np.uint8)
-# then a negative value's: '-' and the positive one's, which never fills its last column
-_LAYOUTS = np.concatenate([_LAYOUTS, np.insert(_LAYOUTS[:, :-1], 0, _MINUS, axis=1)])
+# a positive value's masks by (kind, n), then a negative one's
+_MASKS = np.concatenate([_keep(kind, negative) for negative in (False, True) for kind in _KINDS])
+_MASKS = (_MASKS * np.uint8(0xFF)).view(_U)
 
 
-def _tokens(x, sep, chars):
+def _tokens(x, sep, rows):
     """`repr` of each value of the 1-d chunk x followed by its byte of sep (0:
-    none), as ASCII bytes.  chars is the character table, its common columns
-    filled."""
+    none), as ASCII bytes.  rows holds a row per value, its constant
+    characters filled."""
     m = len(x)
     bits = x.view(_U)
-    search = np.isfinite(x)
-    search &= x != 0
+    finite = np.isfinite(x)
+    search = finite & (x != 0)
     if search.all():
         f, x10 = _shortest(bits)
     else:  # the rest keep f = 0 with no digits, so E = x10 - 1 = 0
@@ -212,7 +226,7 @@ def _tokens(x, sep, chars):
         f[search], x10[search] = _shortest(bits[search])
     # normalize f to 17 digits, f 10^(17 - len), and E to the scientific exponent
     length = np.searchsorted(_POW10, f, side="right")
-    E = x10 + length - 1
+    e = x10 + length - (1 + _E_MIN)  # E - _E_MIN
     lead = (f * _POW10[_DIGITS - length]).astype(np.intp)
     words = np.empty((m, 4), np.intp)  # digits 1-16 as four numbers of four, leaving digit 0
     for j in (3, 2, 1, 0):
@@ -226,21 +240,21 @@ def _tokens(x, sep, chars):
     for j in (1, 2, 3):
         count = trailing[:, j] + zero[:, j] * count
     n = _DIGITS - count.astype(np.intp)
-    chars = chars[:m]
-    chars[:, _LEAD] = lead + ord("0")
-    table = chars.view(np.uint32)
-    table[:, 1:5] = _WORDS.take(words)
-    table[:, _EXP // 4] = _EXPONENTS[E - _E_MIN]
-    chars[:, _SEP] = sep
-    kind = np.where((E >= -4) & (E < 16), E + 4, len(_POSITIONAL) + (np.abs(E) >= 100))
-    nan = np.isnan(x)
-    kind[nan] = len(_KINDS) - 2
-    kind[np.isinf(x)] = len(_KINDS) - 1
-    sign = (bits >> _U(63)).astype(bool) & ~nan
-    layout = (sign * len(_KINDS) + kind) * _DIGITS + n - 1
-    index = np.add(_LAYOUTS.take(layout, axis=0), (np.arange(m) * chars.shape[1])[:, None])
-    tokens = chars.ravel().take(index)
-    return tokens[tokens != 0].tobytes()
+    rows = rows[:m]
+    rows[:, _LEAD] = lead + ord("0")
+    row_words = rows.view(_U)
+    row_words[:, 1:5] = _WORDS.take(words)
+    row_words[:, _EXP // 8] = _EXPONENTS.take(e)
+    rows[:, _SEP] = sep
+    kind = _KIND_OF.take(e)
+    if not finite.all():
+        for name, where in ((b"nan", np.isnan(x)), (b"inf", np.isinf(x))):
+            rows[where, _LEAD : _LEAD + 6 : 2] = np.frombuffer(name, np.uint8)
+            kind[where] = _KINDS.index(name.decode())
+    sign = (bits >> _U(63)).astype(np.intp)
+    tokens = _MASKS.take((sign * len(_KINDS) + kind) * _DIGITS + n - 1, axis=0)
+    tokens &= row_words
+    return tokens.tobytes().translate(None, b"\0")
 
 
 def float_chunks(X) -> Iterator[bytes]:
@@ -258,10 +272,10 @@ def float_chunks(X) -> Iterator[bytes]:
     sep = np.full(flat.size, ord(","), dtype=np.uint8)
     sep[cols - 1 :: cols] = ord("\n")
     sep[-1:] = 0
-    chars = np.empty((min(flat.size, _CHUNK), _TABLE_WIDTH), dtype=np.uint8)
-    chars[:, _COMMON : _PAD + 1] = np.frombuffer(_COMMON_TEXT, np.uint8)
+    rows = np.empty((min(flat.size, _CHUNK), _WIDTH), dtype=np.uint8)
+    rows[:] = _ROW
     for i in range(0, flat.size, _CHUNK):
-        yield _tokens(flat[i : i + _CHUNK], sep[i : i + _CHUNK], chars)
+        yield _tokens(flat[i : i + _CHUNK], sep[i : i + _CHUNK], rows)
 
 
 def float_rows(X) -> str:

@@ -54,6 +54,24 @@ class TestRectDomain:
         with pytest.raises(ValueError):
             T.make_rect_domain(16, 5.0, 1.0)  # torus side is 4
 
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan, 1.0), "rectangle width must be finite, got nan"),
+        ((1.0, math.nan), "rectangle height must be finite, got nan"),
+        ((math.inf, 1.0), "rectangle width must be finite, got inf"),
+        ((1.0, 1.0, (math.nan, 0.0)), r"rectangle center must be finite, got \(nan, 0.0\)"),
+        ((1.0, 1.0, (0.0, -math.inf)), r"rectangle center must be finite, got \(0.0, -inf\)"),
+        ((1.0, 1.0, (math.inf, 0.0)), r"rectangle center must be finite, got \(inf, 0.0\)"),
+    ])
+    def test_non_finite_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            T.make_rect_domain(16, *args)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_scaling_by_non_finite_rejected(self, factor):
+        base = T.make_rect_domain(16, 1.0, 1.0)
+        with pytest.raises(ValueError, match=f"rectangle width must be finite, got {factor}"):
+            T.scale_domain(base, factor)
+
     @pytest.mark.parametrize("make", [
         lambda d: T.make_rect_domain(d, 1.0, 1.0),
         lambda d: T.make_cells_domain(d, [(0, 0)]),

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -132,3 +133,55 @@ def test_dragonbox_cache_matches_exact_powers_of_ten():
         assert _flog2pow10(k) == e, k
         phi = math.ceil(p * Fraction(2) ** (127 - e))
         assert (int(_HI[k - _K_MIN]) << 64) | int(_LO[k - _K_MIN]) == phi, k
+
+
+def layout_of(v) -> tuple[int, int]:
+    """(E, n) of repr(v): its scientific exponent and its significant digits."""
+    _, digits, exponent = Decimal(repr(abs(v))).normalize().as_tuple()
+    return exponent + len(digits) - 1, len(digits)
+
+
+def with_layout(rng, E, n) -> float:
+    """A random positive double whose repr has exponent E and n digits."""
+    while True:
+        digits = int(rng.integers(10 ** (n - 1), 10**n))
+        if n == 1 or digits % 10:
+            v = float(f"{digits}e{E - n + 1}")
+            if math.isfinite(v) and layout_of(v) == (E, n):
+                return v
+
+
+# every kind of text a finite nonzero value takes: its exponents
+KINDS = {
+    **{f"positional E={E}": [E] for E in range(-4, 16)},
+    "scientific, 2 exponent digits": [*range(-99, -4), *range(16, 100)],
+    "scientific, 3 exponent digits": [*range(-307, -99), *range(100, 308)],
+}
+
+
+def test_every_layout_in_one_row():
+    # one value per (kind, digit count, sign), shuffled among zeros, nans and infinities
+    rng = np.random.default_rng(20261020)
+    values = [
+        sign * with_layout(rng, int(rng.choice(exponents)), n)
+        for exponents in KINDS.values()
+        for n in range(1, 18)
+        for sign in (1.0, -1.0)
+    ]
+    assert len(values) == 22 * 17 * 2
+    values += [0.0, -0.0, np.nan, np.inf, -np.inf]
+    rng.shuffle(values)
+    assert_rows(np.array([values]))
+    assert_rows(np.array(values).reshape(-1, 1))
+
+
+def test_a_later_chunk_keeps_no_digit_of_an_earlier_one():
+    # the rows are reused from chunk to chunk: 17 digits each in the first,
+    # then nans, infinities and one-digit values, whose rows hold stale digits
+    rng = np.random.default_rng(24)
+    kinds = list(KINDS.values())
+    long = [with_layout(rng, int(rng.choice(kinds[i])), 17) for i in rng.integers(0, len(kinds), _CHUNK)]
+    short = np.resize([np.nan, np.inf, -np.inf, 1.0, -3e-05, 5e+100, 0.0002, 7e15, -0.0], _CHUNK)
+    X = np.array([long, short])
+    assert_rows(X)
+    assert float_rows(X[1:, :9]) == "nan,inf,-inf,1.0,-3e-05,5e+100,0.0002,7000000000000000.0,-0.0"
