@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import DataSet
-from .operators import HermitianOperator, _nonnegative_spectrum, fn_op_convolve
+from .operators import HermitianOperator, _clamped, fn_op_convolve
 from .tf_core import _tf_shifts, signed_indices
 
 
@@ -123,6 +123,8 @@ def _blank_mask(d: int) -> np.ndarray:
 
 def scale_domain(domain: Domain, factor: float) -> Domain:
     """Rescale a rectangle domain's side lengths by factor."""
+    if not 0.0 < factor < math.inf:
+        raise ValueError(f"scale factor must be finite and positive, got {factor}")
     desc = domain.descriptor
     if desc.get("shape") != "rect":
         raise ValueError("only rectangle domains can be scaled")
@@ -154,7 +156,7 @@ def finite_rank_approx(domain: Domain, S):
     """
     loc = mixed_state_localization(domain, S)
     w, V = np.linalg.eigh(loc.matrix)
-    A_omega, err = _finite_rank(_nonnegative_spectrum(w[::-1]), domain.measure)
+    A_omega, err = _finite_rank(_clamped(w[::-1], "eigenvalue", 1e-8), domain.measure)
     V = V[:, ::-1][:, :A_omega]
     return HermitianOperator._built(V @ V.conj().T), A_omega, err
 

@@ -13,7 +13,9 @@ verdict.
 
 Natural logarithms throughout.  Structural identities are checked at
 1e-8..1e-10, entropy comparisons at 1e-7 absolute, discretization-sensitive
-bounds at 1e-3 relative.
+bounds at 1e-3 relative.  Values in range only up to roundoff are clamped by
+`operators._clamped`, whose docstring tables every site: ALC within 1e-9 of
+[0, 1], spectra and the Berezin-Lieb symbol within 1e-8, entropies within 1e-7.
 """
 
 import math
@@ -27,8 +29,8 @@ from .augmentation import Domain, _finite_rank, mixed_state_localization
 from .operators import (
     HermitianOperator,
     _check_positive,
+    _clamped,
     _localization_grids,
-    _nonnegative_spectrum,
     fn_op_convolve,
     total_correlation,
 )
@@ -48,18 +50,19 @@ def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
     A = A if isinstance(A, HermitianOperator) else HermitianOperator(A)
     X = A._factor
     if X is not None and 4 * len(X) <= 3 * A.d:
-        w = _nonnegative_spectrum(np.linalg.eigvalsh(X.conj() @ X.T)[::-1], clamp_tolerance)
+        w = _clamped(np.linalg.eigvalsh(X.conj() @ X.T)[::-1], "eigenvalue", clamp_tolerance)
         return np.concatenate([w, np.zeros(A.d - len(X))])
-    return _nonnegative_spectrum(np.linalg.eigvalsh(A.matrix)[::-1], clamp_tolerance)
+    return _clamped(np.linalg.eigvalsh(A.matrix)[::-1], "eigenvalue", clamp_tolerance)
 
 
 def _spectral_entropy(w: np.ndarray) -> float:
-    """-sum_k w_k ln w_k for the non-negative eigenvalues of a trace-one operator."""
+    """-sum_k w_k ln w_k for the non-negative eigenvalues of a trace-one
+    operator; its roundoff below 0, about -1e-8 at most after the trace check, is clamped."""
     tr = float(w.sum())
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"operator trace is {tr:.6g}, expected 1")
     nz = w[w > 0]
-    return max(float(-np.sum(nz * np.log(nz))), 0.0)
+    return _clamped(-np.sum(nz * np.log(nz)), "entropy", 1e-7)
 
 
 def von_neumann_entropy(A) -> float:
@@ -107,10 +110,8 @@ def differential_entropy(F: np.ndarray) -> float:
 
 def projection_functional_spectral(A) -> float:
     """P(A) = tr(A) - tr(A^2) = sum lambda (1 - lambda); zero iff projection."""
-    w = _positive_eigenvalues(A)
-    if w.size and w.max() > 1.0 + 1e-8:
-        raise ValueError(f"eigenvalues exceed 1: max {w.max():.6g}")
-    return max(float(np.sum(w * (1.0 - w))), 0.0)
+    w = _clamped(_positive_eigenvalues(A), "eigenvalue", 1e-8, hi=1.0)
+    return float(np.sum(w * (1.0 - w)))
 
 
 def _domain_autocorrelation(domain: Domain) -> np.ndarray:
@@ -118,13 +119,6 @@ def _domain_autocorrelation(domain: Domain) -> np.ndarray:
     chi = domain.indicator()
     F = np.fft.fft2(chi)
     return np.fft.ifft2(np.conj(F) * F).real
-
-
-def _checked_alc(val: float) -> float:
-    """An ALC value clamped to [0, 1], rejected beyond 1e-9 outside it."""
-    if not -1e-9 <= val <= 1.0 + 1e-9:
-        raise ValueError(f"ALC {val:.12g} is outside [0, 1]")
-    return min(max(val, 0.0), 1.0)
 
 
 def alc(S_tilde: np.ndarray, domain: Domain) -> float:
@@ -145,7 +139,7 @@ def alc(S_tilde: np.ndarray, domain: Domain) -> float:
     S_tilde = _check_density(S_tilde)
     C = _domain_autocorrelation(domain)
     inner = float(np.sum(C * S_tilde))
-    return _checked_alc(1.0 - inner / (domain.measure * d * d))
+    return _clamped(1.0 - inner / (domain.measure * d * d), "ALC", 1e-9, hi=1.0)
 
 
 class Localization(NamedTuple):
@@ -170,7 +164,7 @@ def localize(S, domain: Domain) -> Localization:
     """
     loc = mixed_state_localization(domain, S)
     omega = domain.measure
-    a = _checked_alc(1.0 - float(np.vdot(loc.matrix, loc.matrix).real) / omega)
+    a = _clamped(1.0 - float(np.vdot(loc.matrix, loc.matrix).real) / omega, "ALC", 1e-9, hi=1.0)
     w = _positive_eigenvalues(loc, 1e-8 * min(1.0, omega))
     return Localization(loc, a, w, _spectral_entropy(w / omega))
 
@@ -233,8 +227,8 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
 
     The entropy checks use the tolerance 1e-7 max(1, |H_vN(L/|Omega|)|),
     entropy_covariance 1e-3 relative to its rhs, the others 1e-8.  L (x) S
-    and the lambda_k are clipped to [0, 1] only within 1e-8 max(1, max |x|),
-    and raise ValueError beyond.
+    and the lambda_k are clipped to [0, 1] only within 1e-8, and raise
+    ValueError beyond.
 
     L is the pair's one d x d eigensolve (S's entropy solves the N x N Gram
     matrix when N <= 3d/4).  A = f (x) S needs no spectrum: f in [0, 1] and
@@ -257,9 +251,9 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
     def phi(x):
         return x - x * x
 
-    symbol = _clamped_to_unit(symbol, "Berezin-Lieb symbol L (x) S")
+    symbol = _clamped(symbol, "Berezin-Lieb symbol L (x) S", 1e-8, hi=1.0)
     int_phi_symbol = grid_integrate(phi(symbol))
-    tr_phi_A = float(np.sum(phi(_clamped_to_unit(w, "eigenvalue of L"))))
+    tr_phi_A = float(np.sum(phi(_clamped(w, "eigenvalue of L", 1e-8, hi=1.0))))
     fS = fn_op_convolve(symbol, S).matrix
     _check_positive(fS, 1e-8)
     tr_phi_fS = float(np.trace(fS).real - np.vdot(fS, fS).real)
@@ -280,15 +274,6 @@ def check_bounds(S, domain: Domain) -> list[CheckResult]:
         perimeter,
         _entropy_covariance(S_tilde, H_tilde),
     ]
-
-
-def _clamped_to_unit(x: np.ndarray, name: str) -> np.ndarray:
-    """x clipped to [0, 1]; raises ValueError naming x when a value lies
-    more than 1e-8 max(1, max |x|) outside it."""
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(x))))
-    if not (x.min() >= -tol and x.max() <= 1.0 + tol):
-        raise ValueError(f"{name} leaves [0, 1]: min {x.min():.6g}, max {x.max():.6g}")
-    return np.clip(x, 0.0, 1.0)
 
 
 def _entropy_covariance(S_tilde: np.ndarray, entropy: float) -> CheckResult:

@@ -308,24 +308,32 @@ def _spreading_correlation(eta_adjoint: np.ndarray, eta_T: np.ndarray) -> np.nda
     return _inverse_symplectic_fft(np.conj(eta_adjoint) * grid_reflect(eta_T))
 
 
-def _clamp_nonnegative(out) -> np.ndarray:
-    """Real part of a grid that is non-negative up to roundoff, roundoff set to 0.
+def _clamped(x, name: str, tol: float, lo: float = 0.0, hi: float = np.inf):
+    """x clipped to [lo, hi], which it may leave by roundoff only: by at most
+    bound = tol max(1, max |x|) on a half-line (hi = inf), and bound = tol on
+    [0, 1], where every valid value is at most 1.  A value beyond, or a NaN,
+    raises ValueError with x's name and interval, the bound, and x's min and
+    max.  A -0.0 comes back as 0.0, and a scalar as a float.  The sites:
 
-    Raises ValueError when a value is below -1e-12 max(1, max |value|).
+        grids of `total_correlation` and `cohen_class`    [0, inf)  1e-12
+        spectra of `_positive_eigenvalues` (both routes), [0, inf)  the caller's,
+          `_check_positive` and `finite_rank_approx`                1e-8 by default
+        the entropy of `_spectral_entropy`                [0, inf)  1e-7
+        ALC in `alc` and `localize`                       [0, 1]    1e-9
+        symbol L (x) S and L's spectrum in `check_bounds` [0, 1]    1e-8
+        spectrum in `projection_functional_spectral`      [0, 1]    1e-8
     """
-    out = np.asarray(out).real
-    if out.size and out.min() < -1e-12 * max(1.0, float(np.max(np.abs(out)))):
-        raise ValueError(f"grid is not non-negative: min value {out.min():.3e}")
-    return np.maximum(out, 0.0)
-
-
-def _nonnegative_spectrum(w: np.ndarray, clamp_tolerance: float = 1e-8) -> np.ndarray:
-    """Descending eigenvalues w with roundoff negatives set to zero; raises
-    ValueError when the smallest is below -clamp_tolerance max(1, max |w|)."""
-    scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
-    if w.size and w[-1] < -clamp_tolerance * scale:
-        raise ValueError(f"operator is not positive: min eigenvalue {w[-1]:.3e}")
-    return np.maximum(w, 0.0)
+    x = np.asarray(x, dtype=float)
+    if not x.size:
+        return x
+    low, high = float(x.min()), float(x.max())
+    bound = tol if hi < np.inf else tol * max(1.0, -low, high)
+    if not (low >= lo - bound and high <= hi + bound):  # a NaN fails both
+        raise ValueError(f"{name} is outside [{lo:g}, {hi:g}] by more than {bound:.3e}: "
+                         f"min {low:.3e}, max {high:.3e}")
+    out = np.maximum(x, lo, out=np.empty_like(x))
+    np.minimum(out, hi, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_positive(A: np.ndarray, tol: float = 1e-10) -> None:
@@ -333,15 +341,14 @@ def _check_positive(A: np.ndarray, tol: float = 1e-10) -> None:
     -tol max(1, max |lambda|).  A Cholesky factorization of A + tau I with
     tau = tol max(1, max_i A_ii) accepts at a fraction of an eigensolve's
     cost, and never more loosely, as max_i A_ii <= lambda_max; only when it
-    fails are the eigenvalues computed, and checked as `_nonnegative_spectrum`
-    checks them."""
+    fails are the eigenvalues computed, and checked by `_clamped`."""
     if not len(A):
         return
     tau = tol * max(1.0, float(A.diagonal().real.max()))
     try:
         np.linalg.cholesky(A + tau * np.eye(len(A)))
     except np.linalg.LinAlgError:
-        _nonnegative_spectrum(np.linalg.eigvalsh(A)[::-1], tol)
+        _clamped(np.linalg.eigvalsh(A), "eigenvalue", tol)
 
 
 def total_correlation(S) -> np.ndarray:
@@ -358,7 +365,7 @@ def total_correlation(S) -> np.ndarray:
     A = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     if A._factor is None:
         _check_positive(A.matrix)
-    return _clamp_nonnegative(_inverse_symplectic_fft(np.abs(spreading(A)) ** 2))
+    return _clamped(_inverse_symplectic_fft(np.abs(spreading(A)) ** 2).real, "S-tilde", 1e-12)
 
 
 def cohen_class(S, f: np.ndarray) -> np.ndarray:
@@ -394,7 +401,7 @@ def cohen_class(S, f: np.ndarray) -> np.ndarray:
     diagonals = np.fft.fft(diagonals, axis=1)
     eta *= grid_reflect(diagonals)
     del diagonals  # the inverse transform then holds eta and its two outputs
-    return _clamp_nonnegative(_inverse_symplectic_fft(eta))
+    return _clamped(_inverse_symplectic_fft(eta).real, "Cohen's class", 1e-12)
 
 
 def conv_layer_identity(f: np.ndarray, g: np.ndarray, m: np.ndarray):

@@ -66,10 +66,11 @@ class TestRectDomain:
         with pytest.raises(ValueError, match=message):
             T.make_rect_domain(16, *args)
 
-    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
     def test_scaling_by_non_finite_rejected(self, factor):
         base = T.make_rect_domain(16, 1.0, 1.0)
-        with pytest.raises(ValueError, match=f"rectangle width must be finite, got {factor}"):
+        message = f"scale factor must be finite and positive, got {factor}"
+        with pytest.raises(ValueError, match=message):
             T.scale_domain(base, factor)
 
     @pytest.mark.parametrize("make", [

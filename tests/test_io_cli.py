@@ -345,6 +345,12 @@ class TestCli:
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["metrics", "--in", str(tmp_path / "nope.bin")]) == 2
 
+    def test_pure_state_entropy_prints_positive_zero(self, tmp_path, capsys):
+        path = tmp_path / "e0.bin"
+        T.write_signals(path, T.DataSet((np.eye(8)[0],)))
+        assert main(["metrics", "--in", str(path)]) == 0
+        assert '"H": 0.0,' in capsys.readouterr().out
+
     def test_metrics_nan_file_exit_2(self, rng, tmp_path, capsys):
         X = rand_dataset(rng, 3, 16).signals.copy()
         X[0, 0] = np.nan

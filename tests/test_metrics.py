@@ -41,6 +41,11 @@ class TestVonNeumannEntropy:
         assert abs(T.von_neumann_entropy(S) - expected) < 1e-12
         assert abs(expected - 0.6109) < 1e-4
 
+    def test_pure_state_is_positive_zero(self):
+        # -sum 1 ln 1 is -0.0 before the clamp
+        H = T.von_neumann_entropy(T.HermitianOperator(np.diag([1.0, 0.0, 0.0, 0.0])))
+        assert H == 0.0 and math.copysign(1.0, H) == 1.0
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
             T.von_neumann_entropy(T.HermitianOperator(np.eye(4)))
@@ -82,7 +87,7 @@ class TestLocalize:
         L = T.HermitianOperator(np.diag(top + [lowest]))
         monkeypatch.setattr(tfaug.metrics, "mixed_state_localization", lambda dom, S: L)
         if not accepted:
-            with pytest.raises(ValueError, match="not positive"):
+            with pytest.raises(ValueError, match=f"eigenvalue is outside .*: min {lowest:.3e}"):
                 T.localize(None, dom)
             return
         loc = T.localize(None, dom)
@@ -233,6 +238,12 @@ class TestProjectionFunctional:
     def test_half_identity(self):
         assert abs(T.projection_functional_spectral(T.HermitianOperator(np.eye(4) / 2)) - 1.0) < 1e-12
 
+    def test_eigenvalues_clamped_up_to_1e_8_above_1(self):
+        edge = 1.0 + 1e-8
+        assert T.projection_functional_spectral(np.diag([edge, 0.0, 0.0, 0.0])) == 0.0
+        with pytest.raises(ValueError, match="eigenvalue is outside .* by more than 1.000e-08"):
+            T.projection_functional_spectral(np.diag([np.nextafter(edge, 2.0), 0.0, 0.0, 0.0]))
+
     def test_matches_eigenvalue_sum(self, rng):
         d = 16
         S = rand_state(rng, 3, d)
@@ -268,6 +279,22 @@ class TestAlc:
         for w, h in [(1.0, 1.0), (2.5, 1.5), (3.9, 3.9)]:
             a = T.alc(St, T.make_rect_domain(d, w, h))
             assert 0.0 <= a <= 1.0 + 1e-9
+
+    def test_clamped_up_to_1e_9_above_1(self, monkeypatch):
+        # d = 4, |Omega| = 1 and a uniform density: ALC = 1 - C[0, 0] / 64 for
+        # an autocorrelation C that is zero elsewhere, so ALC hits any double near 1
+        dom, density = T.Domain(np.arange(16).reshape(4, 4) < 4), np.full((4, 4), 0.25)
+        edge = 1.0 + 1e-9
+
+        def run(value):
+            C = np.zeros((4, 4))
+            C[0, 0] = 64.0 * (1.0 - value)
+            monkeypatch.setattr(tfaug.metrics, "_domain_autocorrelation", lambda domain: C)
+            return T.alc(density, dom)
+
+        assert run(edge) == 1.0
+        with pytest.raises(ValueError, match="ALC is outside .* by more than 1.000e-09"):
+            run(np.nextafter(edge, 2.0))
 
     @pytest.mark.parametrize(
         "factor, full",
@@ -486,7 +513,7 @@ class TestCheckBounds:
     ])
     def test_symbol_clamp(self, rng, monkeypatch, value, clipped, accepted):
         # f = L (x) S lies in [0, 1]: roundoff outside is clipped within
-        # 1e-8 max(1, max |f|) and raises beyond, naming the symbol
+        # 1e-8 and raises beyond, naming the symbol
         grids = tfaug.metrics._localization_grids
 
         def run(entry):
@@ -510,7 +537,7 @@ class TestCheckBounds:
     @pytest.mark.parametrize("excess, accepted", [(0.5e-8, True), (2e-8, False)])
     def test_eigenvalue_clamp(self, rng, monkeypatch, excess, accepted):
         # L's eigenvalues are at most 1: roundoff above is clipped within
-        # 1e-8 max(1, max lambda) and raises beyond, naming the eigenvalue
+        # 1e-8 and raises beyond, naming the eigenvalue
         localize = tfaug.metrics.localize
 
         def run(top):
@@ -530,6 +557,33 @@ class TestCheckBounds:
             return
         # general_berezin_lieb_lower reads the clipped lambda_1
         assert run(1.0 + excess)[5] == run(1.0)[5]
+
+    @pytest.mark.parametrize("name", ["Berezin-Lieb symbol", "eigenvalue of L"])
+    def test_unit_clamps_accept_up_to_1e_8(self, rng, monkeypatch, name):
+        # 1 + 1e-8 itself is clipped to 1, and the next double raises
+        grids, localize = tfaug.metrics._localization_grids, tfaug.metrics.localize
+
+        def pushed_grids(mask, S):
+            density, symbol = grids(mask, S)
+            symbol = symbol.copy()
+            symbol[3, 5] = top
+            return density, symbol
+
+        def pushed_localize(S, domain):
+            loc = localize(S, domain)
+            return loc._replace(eigenvalues=np.concatenate([[top], loc.eigenvalues[1:]]))
+
+        if name == "eigenvalue of L":
+            monkeypatch.setattr(tfaug.metrics, "localize", pushed_localize)
+        else:
+            monkeypatch.setattr(tfaug.metrics, "_localization_grids", pushed_grids)
+        d = 16
+        S, dom = rand_state(rng, 3, d), T.make_rect_domain(d, 2.0, 1.5)
+        top = 1.0 + 1e-8
+        assert T.check_bounds(S, dom)
+        top = np.nextafter(top, 2.0)
+        with pytest.raises(ValueError, match=f"{name}.* is outside .* by more than 1.000e-08"):
+            T.check_bounds(S, dom)
 
     def test_fail_verdict(self):
         r = T.CheckResult("x", 1.0, 0.5, 1e-8, "fail")

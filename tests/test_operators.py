@@ -9,7 +9,7 @@ import tfaug as T
 import tfaug.metrics
 import tfaug.operators
 from tfaug.operators import (
-    _clamp_nonnegative,
+    _clamped,
     _indicator_fft,
     _symplectic_fft,
     from_spreading,
@@ -476,7 +476,7 @@ class TestTotalCorrelation:
         assert np.array_equal(T.total_correlation(T.HermitianOperator(S.matrix)), St)
         assert len(calls) == 1
         # and a raw indefinite matrix still fails, after its factorization
-        with pytest.raises(ValueError, match="not positive"):
+        with pytest.raises(ValueError, match="eigenvalue is outside .*: min -5.000e-01"):
             T.total_correlation(np.diag([1.5, -0.5] + [0.0] * 6))
         assert len(calls) == 2
 
@@ -488,7 +488,7 @@ class TestTotalCorrelation:
         if accepted:
             assert np.isfinite(T.total_correlation(S)).all()
         else:
-            with pytest.raises(ValueError, match="not positive"):
+            with pytest.raises(ValueError, match=f"eigenvalue is outside .*: min {lowest:.3e}"):
                 T.total_correlation(S)
 
 
@@ -502,8 +502,51 @@ class TestPositivityCertificate:
         if accepted:
             tfaug.operators._check_positive(A, 1e-8)
         else:
-            with pytest.raises(ValueError, match="not positive: min eigenvalue -2.000e-08"):
+            with pytest.raises(ValueError, match="eigenvalue is outside .*: min -2.000e-08"):
                 tfaug.operators._check_positive(A, 1e-8)
+
+
+class TestClamped:
+    """The one clamp: its accepted band, NaN, and the sign of zero."""
+
+    @pytest.mark.parametrize("x", [
+        math.nan, np.array([0.5, math.nan, 0.0]), np.full((4, 4), math.nan),
+    ], ids=["scalar", "spectrum", "grid"])
+    def test_rejects_nan(self, x):
+        with pytest.raises(ValueError, match="x is outside .*: min nan, max nan"):
+            _clamped(x, "x", 1e-8)
+
+    def test_negative_zero_comes_back_positive(self):
+        out = _clamped(-0.0, "x", 1e-7)
+        assert type(out) is float and math.copysign(1.0, out) == 1.0
+        grid = _clamped(np.array([[-0.0, -1e-13], [0.5, 2.0]]), "x", 1e-12)
+        assert grid.tolist() == [[0.0, 0.0], [0.5, 2.0]] and not np.signbit(grid).any()
+
+    def test_half_line_band(self):
+        # the bound is tol max(1, max |w|): -1e-8 * 1.5 is accepted, the next
+        # double below it is not, at every spectrum site
+        edge = -1e-8 * 1.5
+        w = np.array([1.5, 0.25, edge])
+        sites = [
+            lambda w: _clamped(w, "eigenvalue", 1e-8),
+            lambda w: tfaug.operators._check_positive(np.diag(w), 1e-8),
+            lambda w: tfaug.metrics._positive_eigenvalues(np.diag(w)),
+        ]
+        for site in sites:
+            site(w)
+        assert sites[2](w).tolist() == [1.5, 0.25, 0.0]
+        w[-1] = np.nextafter(edge, -1.0)
+        for site in sites:
+            with pytest.raises(ValueError, match="eigenvalue is outside .*: min -1.500e-08"):
+                site(w)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-8])
+    def test_unit_band(self, tol):
+        # on [0, 1] the bound is tol itself: ALC at 1e-9, the others at 1e-8
+        for edge, clipped, outward in [(-tol, 0.0, -1.0), (1.0 + tol, 1.0, 2.0)]:
+            assert _clamped(edge, "ALC", tol, hi=1.0) == clipped
+            with pytest.raises(ValueError, match=f"ALC is outside .* by more than {tol:.3e}"):
+                _clamped(np.nextafter(edge, outward), "ALC", tol, hi=1.0)
 
 
 class TestCohenClass:
@@ -539,6 +582,17 @@ class TestCohenClass:
         with pytest.raises(ValueError):
             T.cohen_class(T.HermitianOperator(-T.tensor_product(g, g)), g)
 
+    @pytest.mark.parametrize("operand", ["S", "f"])
+    def test_nan_rejected(self, rng, operand):
+        d = 16
+        S, f = T.data_operator(rand_dataset(rng, 3, d)).matrix.copy(), rand_unit(rng, d)
+        if operand == "S":
+            S[2, 3] = math.nan
+        else:
+            f[5] = math.nan
+        with pytest.raises(ValueError, match="Cohen's class is outside .*: min nan"):
+            T.cohen_class(S, f)
+
     @staticmethod
     def outcome(compute):
         try:
@@ -563,7 +617,8 @@ class TestCohenClass:
         for name, op in operands.items():
             M = op.matrix if isinstance(op, T.HermitianOperator) else op
             want = self.outcome(
-                lambda: _clamp_nonnegative(T.op_op_convolve(grid_reflect(M), T.tensor_product(f, f))))
+                lambda: _clamped(T.op_op_convolve(grid_reflect(M), T.tensor_product(f, f)).real,
+                                 "Cohen's class", 1e-12))
             got = self.outcome(lambda: T.cohen_class(op, f))
             assert got == want, name
             assert isinstance(got, str) == name.endswith("negative"), name
