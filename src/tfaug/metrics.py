@@ -57,12 +57,13 @@ def _positive_eigenvalues(A, clamp_tolerance: float = 1e-8) -> np.ndarray:
 
 def _spectral_entropy(w: np.ndarray) -> float:
     """-sum_k w_k ln w_k for the non-negative eigenvalues of a trace-one
-    operator; its roundoff below 0, about -1e-8 at most after the trace check, is clamped."""
+    operator; its roundoff below 0, about -1e-8 at most after the trace check, is clamped.
+    The sum is subtracted from 0.0, so a pure state's entropy is +0.0, not -0.0."""
     tr = float(w.sum())
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"operator trace is {tr:.6g}, expected 1")
     nz = w[w > 0]
-    return _clamped(-np.sum(nz * np.log(nz)), "entropy", 1e-7)
+    return _clamped(0.0 - np.sum(nz * np.log(nz)), "entropy", 1e-7)
 
 
 def von_neumann_entropy(A) -> float:
@@ -102,10 +103,11 @@ def _check_density(F) -> np.ndarray:
 
 
 def differential_entropy(F: np.ndarray) -> float:
-    """-integral F ln F for a non-negative grid density of unit mass."""
+    """-integral F ln F for a non-negative grid density of unit mass; a zero
+    entropy is +0.0, as the sum is subtracted from 0.0."""
     F = _check_density(F)
     nz = F[F > 0]
-    return float(-np.sum(nz * np.log(nz)) / F.shape[0])
+    return float((0.0 - np.sum(nz * np.log(nz))) / F.shape[0])
 
 
 def projection_functional_spectral(A) -> float:

@@ -308,12 +308,12 @@ def _spreading_correlation(eta_adjoint: np.ndarray, eta_T: np.ndarray) -> np.nda
     return _inverse_symplectic_fft(np.conj(eta_adjoint) * grid_reflect(eta_T))
 
 
-def _clamped(x, name: str, tol: float, lo: float = 0.0, hi: float = np.inf):
-    """x clipped to [lo, hi], which it may leave by roundoff only: by at most
-    bound = tol max(1, max |x|) on a half-line (hi = inf), and bound = tol on
+def _clamped(x, name: str, tol: float, hi: float = np.inf):
+    """x clipped to [0, hi], which it may leave by roundoff only: by at most
+    bound = tol max(1, max |x|) on the half-line (hi = inf), and bound = tol on
     [0, 1], where every valid value is at most 1.  A value beyond, or a NaN,
     raises ValueError with x's name and interval, the bound, and x's min and
-    max.  A -0.0 comes back as 0.0, and a scalar as a float.  The sites:
+    max.  A scalar comes back as a float.  The sites:
 
         grids of `total_correlation` and `cohen_class`    [0, inf)  1e-12
         spectra of `_positive_eigenvalues` (both routes), [0, inf)  the caller's,
@@ -328,10 +328,10 @@ def _clamped(x, name: str, tol: float, lo: float = 0.0, hi: float = np.inf):
         return x
     low, high = float(x.min()), float(x.max())
     bound = tol if hi < np.inf else tol * max(1.0, -low, high)
-    if not (low >= lo - bound and high <= hi + bound):  # a NaN fails both
-        raise ValueError(f"{name} is outside [{lo:g}, {hi:g}] by more than {bound:.3e}: "
+    if not (low >= -bound and high <= hi + bound):  # a NaN fails both
+        raise ValueError(f"{name} is outside [0, {hi:g}] by more than {bound:.3e}: "
                          f"min {low:.3e}, max {high:.3e}")
-    out = np.maximum(x, lo, out=np.empty_like(x))
+    out = np.maximum(x, 0.0, out=np.empty_like(x))
     np.minimum(out, hi, out=out)
     return float(out) if out.ndim == 0 else out
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -350,6 +351,12 @@ class TestCli:
         T.write_signals(path, T.DataSet((np.eye(8)[0],)))
         assert main(["metrics", "--in", str(path)]) == 0
         assert '"H": 0.0,' in capsys.readouterr().out
+        # its S-tilde's differential entropy is 0 too, and so the slack between them
+        assert main(["bounds", "--in", str(path), "--rect", "2", "2"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        (check,) = [c for c in checks if c["name"] == "entropy_correlation"]
+        for key in ("lhs", "rhs", "slack"):
+            assert check[key] == 0.0 and math.copysign(1.0, check[key]) == 1.0, key
 
     def test_metrics_nan_file_exit_2(self, rng, tmp_path, capsys):
         X = rand_dataset(rng, 3, 16).signals.copy()

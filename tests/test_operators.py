@@ -507,7 +507,7 @@ class TestPositivityCertificate:
 
 
 class TestClamped:
-    """The one clamp: its accepted band, NaN, and the sign of zero."""
+    """The one clamp: its accepted band, NaN, and its return types."""
 
     @pytest.mark.parametrize("x", [
         math.nan, np.array([0.5, math.nan, 0.0]), np.full((4, 4), math.nan),
@@ -516,11 +516,12 @@ class TestClamped:
         with pytest.raises(ValueError, match="x is outside .*: min nan, max nan"):
             _clamped(x, "x", 1e-8)
 
-    def test_negative_zero_comes_back_positive(self):
-        out = _clamped(-0.0, "x", 1e-7)
-        assert type(out) is float and math.copysign(1.0, out) == 1.0
-        grid = _clamped(np.array([[-0.0, -1e-13], [0.5, 2.0]]), "x", 1e-12)
-        assert grid.tolist() == [[0.0, 0.0], [0.5, 2.0]] and not np.signbit(grid).any()
+    def test_scalar_comes_back_float(self):
+        out = _clamped(-1e-8, "x", 1e-7)
+        assert type(out) is float and out == 0.0
+        x = np.array([[-1e-13, 0.25], [0.5, 2.0]])
+        grid = _clamped(x, "x", 1e-12)
+        assert grid.tolist() == [[0.0, 0.25], [0.5, 2.0]] and x[0, 0] == -1e-13
 
     def test_half_line_band(self):
         # the bound is tol max(1, max |w|): -1e-8 * 1.5 is accepted, the next
