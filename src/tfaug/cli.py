@@ -13,6 +13,8 @@ from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 from .augmentation import augment_dataset, make_rect_domain
 from .datasets import (
     gen_chirps,
@@ -150,8 +152,6 @@ def cmd_experiment(args) -> int:
         raise SystemExit(f"error: bad config: {e}")
     table, report = run_experiment(config)
     print(f"wrote {len(table)} rows to {config.out}/{config.experiment}.csv")
-    import numpy as np
-
     checks = [bool(v) for v in report.values() if isinstance(v, (bool, np.bool_))]
     return 0 if all(checks) else 1
 

@@ -1,7 +1,9 @@
 """Generators for the signal families used in the experiments.
 
-Every generator is a deterministic function of its parameters and seed, and
-returns a DataSet whose squared norms sum to one.
+Each family is fixed: a generator is a deterministic function of N, d and
+seed (and, for local components, the noise energy), and returns a DataSet
+whose squared norms sum to one.  The family constants are in each
+generator's docstring.
 """
 
 from dataclasses import dataclass
@@ -100,43 +102,22 @@ def _barthann(d: int) -> np.ndarray:
     return 0.62 - 0.48 * fac + 0.38 * np.cos(2 * np.pi * fac)
 
 
-MAX_FREQ_REDRAWS = 10_000  # per signal; the default band needs about 1.1 draws
-
-
-def gen_chirps(
-    N: int,
-    d: int = 280,
-    seed: int = 0,
-    rate_range: tuple[float, float] = (0.0, 20.0),
-    freq_mean: float = 50.0,
-    freq_band: tuple[float, float] = (30.0, 65.0),
-    freq_std: float = 10.0,
-) -> DataSet:
+def gen_chirps(N: int, d: int, seed: int = 0) -> DataSet:
     """Time-localized analytic chirps under rotated Bartlett-Hanning envelopes.
 
-    The d samples are read as one second at d Hz; base frequencies are
-    normal around freq_mean, redrawn until they land in freq_band (ValueError
-    after MAX_FREQ_REDRAWS redraws), and the sweep rate is uniform in
-    rate_range (Hz per second).
+    The d samples are read as one second at d Hz.  Each signal draws, in
+    turn, its base frequency from N(50, 10^2), redrawn until it lands in
+    [30, 65] Hz (about 91% of draws do), its sweep rate uniformly from
+    [0, 20) Hz per second, and the rotation of its envelope uniformly from
+    the d samples.
     """
     rng = _rng(N, d, seed)
-    lo, hi = rate_range
-    if hi < lo:
-        raise ValueError(f"invalid rate_range {rate_range}")
-    if freq_band[1] < freq_band[0]:
-        raise ValueError(f"invalid freq_band {freq_band}")
     f0, rate, shift = np.empty(N), np.empty(N), np.empty(N, dtype=np.int64)
     for i in range(N):
-        for _ in range(MAX_FREQ_REDRAWS + 1):
-            f0[i] = rng.normal(freq_mean, freq_std)
-            if freq_band[0] <= f0[i] <= freq_band[1]:
-                break
-        else:
-            raise ValueError(
-                f"no base frequency in freq_band {freq_band} after "
-                f"{MAX_FREQ_REDRAWS} redraws from N({freq_mean}, {freq_std}^2)"
-            )
-        rate[i] = rng.uniform(lo, hi)
+        f0[i] = rng.normal(50.0, 10.0)
+        while not 30.0 <= f0[i] <= 65.0:
+            f0[i] = rng.normal(50.0, 10.0)
+        rate[i] = rng.uniform(0.0, 20.0)
         shift[i] = rng.integers(0, d)
     t = np.arange(d) / d
     # row i: the chirp times the envelope rotated by shift[i]
@@ -155,80 +136,58 @@ def gen_hermite_pair_state(t: float, g: np.ndarray, h: np.ndarray) -> HermitianO
     return HermitianOperator((1 - t) * tensor_product(g, g) + t * tensor_product(h, h))
 
 
-def _near_origin_cells(d: int, spread: float) -> np.ndarray:
-    """Grid cells whose centered phase coordinates lie within radius spread."""
+def _near_origin_cells(d: int) -> np.ndarray:
+    """Grid cells whose centered phase coordinates lie within 0.5 phase units
+    of the origin; the origin is always one."""
     sq = (signed_indices(d) / np.sqrt(d)) ** 2
-    return np.argwhere(sq[:, None] + sq[None, :] <= spread**2)
+    return np.argwhere(sq[:, None] + sq[None, :] <= 0.25)
 
 
-def gen_local_components(
-    N: int,
-    d: int = 128,
-    noise_energy: float = 0.0,
-    spread: float = 0.5,
-    seed: int = 0,
-    window: np.ndarray | None = None,
-    random_coeffs: bool = False,
-) -> DataSet:
-    """Signals f_i = c_i pi(z_i) g + noise, with the noise orthogonal to the
-    shifted window and carrying a fixed energy fraction.
+def gen_local_components(N: int, d: int, noise_energy: float = 0.0, seed: int = 0) -> DataSet:
+    """Signals f_i = c_i pi(z_i) g + noise, g the Gaussian window, z_i drawn
+    uniformly from the grid cells within 0.5 phase units of the origin.
 
-    spread is either a radius in phase units (cells around the origin) or an
-    explicit sequence of (m, n) index pairs.  With random_coeffs the local
-    component's phase is randomized; its energy share stays 1 - noise_energy.
+    Noiseless signals are the shifted windows themselves (c_i = 1).  With
+    noise_energy > 0, c_i is (1 - noise_energy)^(1/2) times a uniformly
+    random phase, and the noise is orthogonal to pi(z_i) g and carries the
+    remaining energy noise_energy.
     """
     if not 0.0 <= noise_energy < 1.0:
         raise ValueError(f"noise_energy must lie in [0, 1), got {noise_energy}")
     rng = _rng(N, d, seed)
-    g = gaussian_window(d) if window is None else np.asarray(window, dtype=complex)
-    if np.isscalar(spread):
-        cells = _near_origin_cells(d, float(spread))
-    else:
-        cells = np.asarray(spread, dtype=int).reshape(-1, 2)
-    if len(cells) == 0:
-        raise ValueError("spread selects no grid cells")
+    g = gaussian_window(d)
+    cells = _near_origin_cells(d)
     X = np.empty((N, d), dtype=complex)
     for i in range(N):
-        z = tuple(cells[rng.integers(0, len(cells))])
-        atom = tf_shift(g, z)
-        c = (1 - noise_energy) ** 0.5
-        if random_coeffs:
-            c *= np.exp(2j * np.pi * rng.uniform())
-        f = c * atom
-        if noise_energy > 0:
-            noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            noise -= np.vdot(atom, noise) * atom / np.vdot(atom, atom)
-            noise *= (noise_energy**0.5) / np.linalg.norm(noise)
-            f = f + noise
-        X[i] = f
+        atom = tf_shift(g, tuple(cells[rng.integers(0, len(cells))]))
+        if noise_energy == 0:
+            X[i] = atom
+            continue
+        c = (1 - noise_energy) ** 0.5 * np.exp(2j * np.pi * rng.uniform())
+        noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        noise -= np.vdot(atom, noise) * atom / np.vdot(atom, atom)
+        noise *= (noise_energy**0.5) / np.linalg.norm(noise)
+        X[i] = c * atom + noise
     return _normalized(X, seed, f"local_components(N={N},d={d},noise={noise_energy})")
 
 
-def default_tf_weight(z: np.ndarray) -> np.ndarray:
-    """Radial weight sin(2 pi r) / (1 + r)^2 on phase-space distance r."""
-    r = np.abs(z)
+def _tf_weight(r: float) -> float:
+    """Radial weight sin(2 pi r) / (1 + r)^2 at phase-space distance r."""
     return np.sin(2 * np.pi * r) * (1 + r) ** -2.0
 
 
-def gen_random_tf_weighted(
-    N: int,
-    d: int = 128,
-    seed: int = 0,
-    weight_fn=default_tf_weight,
-    max_radius: float = 4.0,
-) -> DataSet:
+def gen_random_tf_weighted(N: int, d: int, seed: int = 0) -> DataSet:
     """Random lattice combinations with a common time-frequency weight.
 
-    Each signal is sum_l c_l w(l) pi(l) g over the integer lattice (spacing
-    one phase unit) within max_radius of the origin, with uniform random
-    complex coefficients c_l.
+    Each signal is sum_l c_l w(|l|) pi(l) g over the 49 points l of the
+    integer lattice (spacing one phase unit) within radius 4 of the origin,
+    with w(r) = sin(2 pi r) / (1 + r)^2 and c_l = u exp(2 pi i v), u and v
+    uniform in [0, 1).
     """
     rng = _rng(N, d, seed)
-    half = int(max_radius)
-    span = range(-half, half + 1)
-    lattice = [(a, b) for a in span for b in span if a * a + b * b <= max_radius**2]
+    lattice = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if a * a + b * b <= 16]
     atoms = _lattice_atoms(d, lattice)
-    weights = np.array([float(weight_fn(np.hypot(a, b))) for a, b in lattice])
+    weights = np.array([float(_tf_weight(np.hypot(a, b))) for a, b in lattice])
     coeffs = rng.uniform(size=(N, len(lattice))) * np.exp(
         2j * np.pi * rng.uniform(size=(N, len(lattice)))
     )
@@ -236,33 +195,19 @@ def gen_random_tf_weighted(
     return _normalized(X, seed, f"tf_weighted(N={N},d={d})")
 
 
-def gen_gaussian_combos(
-    N: int,
-    d: int = 128,
-    M_rect: tuple[float, float] = (2.1875, 0.3125),
-    n_atoms: int = 3,
-    seed: int = 0,
-) -> DataSet:
-    """Random combinations of time-frequency shifted Gaussians from a small
-    rectangle M (phase units, centered at the origin).
+def gen_gaussian_combos(N: int, d: int, seed: int = 0) -> DataSet:
+    """Random combinations of three time-frequency shifted Gaussians.
 
-    Atom positions are drawn from the integer lattice intersected with M;
-    coefficients are uniform random complex numbers.
+    Each signal is sum_j c_j pi(l_j) g over three lattice points l_j drawn
+    with replacement from (-1, 0), (0, 0) and (1, 0) (phase units), with
+    c_j = u exp(2 pi i v), u and v uniform in [0, 1).
     """
-    w, h = M_rect
     rng = _rng(N, d, seed)
-    lattice = [
-        (a, b)
-        for a in range(-int(w / 2), int(w / 2) + 1)
-        for b in range(-int(h / 2), int(h / 2) + 1)
-    ]
-    if not lattice:
-        raise ValueError(f"no lattice points inside rectangle {M_rect}")
-    atoms = _lattice_atoms(d, lattice)
+    atoms = _lattice_atoms(d, [(-1, 0), (0, 0), (1, 0)])
     X = np.empty((N, d), dtype=complex)
     for i in range(N):
-        picks = rng.integers(0, len(lattice), size=n_atoms)
-        c = rng.uniform(size=n_atoms) * np.exp(2j * np.pi * rng.uniform(size=n_atoms))
+        picks = rng.integers(0, 3, size=3)
+        c = rng.uniform(size=3) * np.exp(2j * np.pi * rng.uniform(size=3))
         X[i] = c @ atoms[picks]
     return _normalized(X, seed, f"gaussian_combos(N={N},d={d})")
 

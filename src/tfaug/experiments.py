@@ -391,10 +391,7 @@ def run_local_components(config: ExperimentConfig):
     ops = {"classical": S_classical}
     for ne in noise_levels:
         ops[f"mixed_{ne}"] = data_operator(
-            gen_local_components(
-                config.params["n_gauss"], d, noise_energy=ne, spread=0.5,
-                seed=config.seed, random_coeffs=ne > 0,
-            )
+            gen_local_components(config.params["n_gauss"], d, noise_energy=ne, seed=config.seed)
         )
     cols = ["k"] + [f"eig_{name}" for name in ops]
     table = ResultTable(cols, _meta(config))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .augmentation import Domain, _finite_rank, mixed_state_localization
+from .augmentation import Domain, _finite_rank, mixed_state_localization, scale_domain
 from .operators import (
     HermitianOperator,
     _check_positive,
@@ -315,8 +315,6 @@ def _centered_distance_grid(d: int) -> np.ndarray:
 
 def asymptotic_alc_scan(S_tilde: np.ndarray, domain: Domain, scales) -> list[tuple[float, float]]:
     """ALC of the density against scaled copies R * Omega of the domain."""
-    from .augmentation import scale_domain
-
     out = []
     for R in scales:
         out.append((float(R), alc(S_tilde, scale_domain(domain, float(R)))))

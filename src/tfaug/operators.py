@@ -6,19 +6,21 @@ Operators are dense d x d complex matrices.  The two convolutions are
     F (x) S  -> operator:  (1/d) sum_z F(z) pi(z) S pi(z)^*
     S (x) T  -> function:  z -> tr(S pi(z) PTP pi(z)^*)
 
-with P the parity f(x) -> f(-x mod d).  Both rest on one transform pair,
-`spreading(S)` and its inverse `from_spreading(eta)`: the DFT along each
-generalized diagonal, O(d^2 log d).  By Werner's identities F (x) S has the
-spreading function F-hat eta_S / d (F-hat the symplectic DFT of F), and
-S (x) T is the inverse symplectic DFT of a product of spreading functions;
-in particular S-tilde = S (x) S-check is the transform of |eta_S|^2.  A
-HermitianOperator keeps its spreading function, so all transforms of one
-operator share a single one.  The direct sums are test oracles.
+with P the parity f(x) -> f(-x mod d).  Both rest on the spreading function
+`spreading(S)`: the DFT along each generalized diagonal, O(d^2 log d).  By
+Werner's identities F (x) S has the spreading function F-hat eta_S / d
+(F-hat the symplectic DFT of F), and S (x) T is the inverse symplectic DFT
+of a product of spreading functions; in particular S-tilde = S (x) S-check
+is the transform of |eta_S|^2.  A HermitianOperator keeps its spreading
+function, so all transforms of one operator share a single one.  The
+direct sums are test oracles.
 
 F (x) S is Hermitian, so its generalized diagonal -u is the conjugate of
-diagonal u: only rows u = 0..d//2 of its spreading function are inverted,
-and the other half of the matrix is read from their conjugates, which makes
-the result exactly Hermitian.  A boolean grid is a domain indicator; for a
+diagonal u: `_hermitian_from_spreading` inverts only rows u = 0..d//2 of
+its spreading function, and the other half of the matrix is read from
+their conjugates, which makes the result exactly Hermitian.
+`from_spreading`, the full inverse of `spreading`, inverts every row; no
+convolution uses it.  A boolean grid is a domain indicator; for a
 product set (every rectangle, wrapped ones included) its symplectic DFT is
 the outer product of two 1-d DFTs, O(d log d).
 """
@@ -28,7 +30,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .tf_core import grid_reflect
+from .tf_core import grid_convolve, grid_reflect, spectrogram
 
 
 @dataclass(frozen=True)
@@ -412,8 +414,6 @@ def conv_layer_identity(f: np.ndarray, g: np.ndarray, m: np.ndarray):
     Returns (lhs, rhs, max abs difference); the agreement of the two routes
     is itself the correctness oracle.
     """
-    from .tf_core import grid_convolve, spectrogram
-
     F0 = spectrogram(f, g)
     lhs = grid_convolve(F0, np.asarray(m, dtype=float))
     gc = parity(g)
