@@ -168,6 +168,20 @@ class TestChirps:
         assert np.array_equal(a, b)
 
     def test_base_frequencies_in_band(self):
+        # phase(n) = 2 pi (f0 n / d + rate n^2 / (2 d^2)) wherever the envelope
+        # is nonzero: read f0 and rate back from three samples near its peak
+        d = 280
+        for f in T.gen_chirps(50, d, seed=42).signals:
+            a = np.abs(f)
+            n = int(np.argmax(np.minimum(np.minimum(a[:-2], a[1:-1]), a[2:])))
+            step = np.angle(f[n + 1] * f[n].conj())
+            curve = np.angle(f[n + 2] * f[n] * f[n + 1].conj() ** 2)
+            rate = d**2 * curve / (2 * np.pi)
+            f0 = d * step / (2 * np.pi) - rate * (2 * n + 1) / (2 * d)
+            assert 30.0 - 1e-8 <= f0 <= 65.0 + 1e-8
+            assert -1e-8 <= rate <= 20.0
+
+    def test_redraws_keep_the_random_stream(self):
         # the output equals the redraw-until-accepted construction draw for
         # draw; seed 2 redraws a base frequency below the band and one above
         d = 64
@@ -310,6 +324,35 @@ class TestGaussianCombos:
     def test_default_rectangle_atoms(self):
         ds = T.gen_gaussian_combos(20, 64, seed=0)
         assert abs(ds.total_energy() - 1.0) < 1e-10
+
+    def test_single_point_rectangle(self, monkeypatch):
+        # with every lattice point moved to (0, 0), each signal is a multiple of g
+        lattice_atoms = datasets._lattice_atoms
+        monkeypatch.setattr(datasets, "_lattice_atoms",
+                            lambda d, lattice: lattice_atoms(d, [(0, 0)] * len(lattice)))
+        d = 36
+        ds = T.gen_gaussian_combos(4, d, seed=0)
+        g = T.gaussian_window(d)
+        for f in ds.signals:
+            assert abs(abs(np.vdot(g, f)) - np.linalg.norm(f)) < 1e-10
+
+    def test_single_atom(self):
+        # a signal whose three draws hit one lattice point is one shifted
+        # Gaussian; replay the draws to find them (seed 3 gives three)
+        d, n = 36, 20
+        rng = np.random.default_rng(3)
+        single = []
+        for _ in range(n):
+            single.append(len(set(rng.integers(0, 3, size=3))) == 1)
+            rng.uniform(size=6)
+        assert sum(single) == 3
+        g = T.gaussian_window(d)
+        for f, one in zip(T.gen_gaussian_combos(n, d, seed=3).signals, single):
+            peak = np.abs(T.stft(f / np.linalg.norm(f), g)).max()
+            if one:
+                assert abs(peak - 1.0) < 1e-9
+            else:
+                assert peak < 1.0 - 1e-3
 
     def test_signals_span_the_three_fixed_atoms(self):
         # the lattice points (-1, 0), (0, 0), (1, 0) are the time shifts
