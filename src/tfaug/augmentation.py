@@ -60,9 +60,6 @@ class Domain:
         """chi_Omega as a real grid function."""
         return self.mask.astype(float)
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, **self.descriptor}
-
 
 def make_rect_domain(
     d: int,
@@ -169,22 +166,26 @@ def _finite_rank(w: np.ndarray, measure: float) -> tuple[int, float]:
     return A_omega, float(np.sum(1.0 - w[:A_omega]) + np.sum(w[A_omega:]))
 
 
-def augment_dataset(domain: Domain, dataset: DataSet, max_signals: int = 200_000) -> DataSet:
+MAX_AUGMENTED_SIGNALS = 200_000
+
+
+def augment_dataset(domain: Domain, dataset: DataSet) -> DataSet:
     """Materialize the Omega-augmented dataset on the grid.
 
     D_Omega = {(|Omega| d)^{-1/2} pi(mu) f_i : mu a cell of Omega}, signal by
     signal, each over the cells in `domain.cells()` order; one gather over all
-    of them, after the cap on the output size is checked.  Its data operator
-    equals mixed_state_localization(Omega, S) / |Omega|.
+    of them, after the output size is checked against MAX_AUGMENTED_SIGNALS.
+    Its data operator equals mixed_state_localization(Omega, S) / |Omega|.
     """
     n_out = domain.n_cells * len(dataset)
     if n_out == 0:
         raise ValueError("domain is empty")
-    if n_out > max_signals:
-        raise ValueError(f"augmentation would produce {n_out} signals (cap {max_signals})")
+    if n_out > MAX_AUGMENTED_SIGNALS:
+        raise ValueError(
+            f"augmentation would produce {n_out} signals (cap {MAX_AUGMENTED_SIGNALS})"
+        )
     m, n = domain.cells().T
     X = _tf_shifts(dataset.signals, m, n)
     X *= (domain.measure * domain.d) ** -0.5
     X.setflags(write=False)
-    label = f"augmented({dataset.label}, cells={len(m)})"
-    return DataSet._kept(X.reshape(-1, dataset.d), dataset.seed, label)
+    return DataSet._kept(X.reshape(-1, dataset.d))

@@ -1,8 +1,10 @@
 """Command line front end.
 
-Subcommands: gen, metrics, augment, bounds, experiment, convert.
-Exit codes: 0 on success, 1 when a theorem check fails, 2 on usage or
-I/O errors.
+Subcommands: gen, metrics, augment, bounds, experiment, convert.  A domain
+is given by exactly one of --domain FILE and --rect W H: augment and bounds
+need one, metrics takes at most one.  convert converts signal files only.
+Exit codes: 0 on success, 1 when a theorem check fails, 2 on a usage or
+I/O error or on input a numerical check rejects.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from .datasets import (
     gen_random_tf_weighted,
 )
 from .experiments import CATALOG, ExperimentConfig, run_experiment
-from .io import domain_from_json, domain_to_json, read_signals, write_signals
+from .io import domain_from_json, read_signals, write_signals
 from .metrics import check_bounds, effective_dimension, localize
 from .operators import data_operator
 
@@ -36,22 +38,20 @@ GENERATORS = {
 
 
 def _load_domain(args, d: int):
-    if args.domain:
-        try:
-            return domain_from_json(Path(args.domain).read_text(), d)
-        except (OSError, ValueError, KeyError) as e:
-            raise SystemExit(f"error: cannot read domain {args.domain}: {e}")
+    """The domain of --domain or --rect, of which argparse admits one."""
     if args.rect:
-        w, h = args.rect
-        return make_rect_domain(d, w, h)
-    raise SystemExit("error: provide --domain FILE or --rect W H")
+        return make_rect_domain(d, *args.rect)
+    try:
+        return domain_from_json(Path(args.domain).read_text(), d)
+    except (OSError, ValueError, KeyError) as e:
+        raise ValueError(f"cannot read domain {args.domain}: {e}")
 
 
 def _load_signals(path):
     try:
         return read_signals(path)
     except (OSError, ValueError) as e:
-        raise SystemExit(f"error: cannot read signals {path}: {e}")
+        raise ValueError(f"cannot read signals {path}: {e}")
 
 
 def cmd_gen(args) -> int:
@@ -132,13 +132,13 @@ def cmd_experiment(args) -> int:
         try:
             conf = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as e:
-            raise SystemExit(f"error: cannot read config {args.config}: {e}")
+            raise ValueError(f"cannot read config {args.config}: {e}")
         if not isinstance(conf, dict):
-            raise SystemExit(f"error: config {args.config} is not a JSON object")
+            raise ValueError(f"config {args.config} is not a JSON object")
     if args.experiment:
         conf["experiment"] = args.experiment
     if "experiment" not in conf:
-        raise SystemExit("error: provide --experiment NAME or a config with one")
+        raise ValueError("provide --experiment NAME or a config with one")
     # command line overrides the config file
     for key in ("seed", "d", "out", "trials", "N"):
         val = getattr(args, key, None)
@@ -149,7 +149,7 @@ def cmd_experiment(args) -> int:
     try:
         config = ExperimentConfig.from_dict(conf)
     except (TypeError, ValueError) as e:
-        raise SystemExit(f"error: bad config: {e}")
+        raise ValueError(f"bad config: {e}")
     table, report = run_experiment(config)
     print(f"wrote {len(table)} rows to {config.out}/{config.experiment}.csv")
     checks = [bool(v) for v in report.values() if isinstance(v, (bool, np.bool_))]
@@ -157,23 +157,16 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    if args.input.endswith(".json") or args.out.endswith(".json"):
-        # domain description round trip
-        if args.input.endswith(".json") and args.out.endswith(".json"):
-            dom = domain_from_json(Path(args.input).read_text())
-            Path(args.out).write_text(domain_to_json(dom) + "\n")
-            print(f"wrote domain to {args.out}")
-            return 0
-        raise SystemExit("error: cannot convert between signals and domains")
     ds = _load_signals(args.input)
     write_signals(args.out, ds)
     print(f"wrote {len(ds)} signals to {args.out}")
     return 0
 
 
-def _add_domain_args(p):
-    p.add_argument("--domain", help="domain description JSON file")
-    p.add_argument(
+def _add_domain_args(p, required=True):
+    g = p.add_mutually_exclusive_group(required=required)
+    g.add_argument("--domain", help="domain description JSON file")
+    g.add_argument(
         "--rect", nargs=2, type=float, metavar=("W", "H"),
         help="rectangle domain, phase units",
     )
@@ -200,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="entropy and concentration metrics")
     p.add_argument("--in", dest="input", required=True, help="signal file")
-    _add_domain_args(p)
+    _add_domain_args(p, required=False)
     p.set_defaults(fn=cmd_metrics)
 
     p = sub.add_parser("augment", help="augment a dataset over a domain")
@@ -240,19 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors already; normalize others
-        raise SystemExit(2 if e.code not in (0,) else 0)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(e.code, file=sys.stderr)
-            return 2
-        return e.code if e.code is not None else 0
     except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -16,15 +16,12 @@ from .tf_core import _tf_shifts, gaussian_window, signed_indices, tf_shift
 
 @dataclass(frozen=True)
 class DataSet:
-    """N equal-length signals as the rows of one read-only (N, d) complex
-    matrix, with the provenance of their generator.
+    """N equal-length signals as the rows of one read-only (N, d) complex matrix.
 
     Built from a 2-d array or a sequence of 1-d signals, always copied into
     a fresh, frozen, C-ordered complex128 matrix that no caller holds."""
 
     signals: np.ndarray
-    seed: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         X = self.signals
@@ -37,12 +34,12 @@ class DataSet:
         object.__setattr__(self, "signals", _checked(X))
 
     @classmethod
-    def _kept(cls, X: np.ndarray, seed: int | None = None, label: str = "") -> "DataSet":
+    def _kept(cls, X: np.ndarray) -> "DataSet":
         """The dataset of X itself, uncopied, for the library's producers: X
         is a fresh read-only C-ordered complex128 (N, d) matrix that nothing
         else holds, or a view of immutable bytes."""
         ds = object.__new__(cls)
-        ds.__dict__.update(signals=_checked(X), seed=seed, label=label)
+        ds.__dict__["signals"] = _checked(X)
         return ds
 
     @property
@@ -51,9 +48,6 @@ class DataSet:
 
     def __len__(self) -> int:
         return len(self.signals)
-
-    def total_energy(self) -> float:
-        return _total_energy(self.signals)
 
 
 def _checked(X: np.ndarray) -> np.ndarray:
@@ -71,10 +65,10 @@ def _total_energy(X: np.ndarray) -> float:
 
 def normalize_dataset(dataset: DataSet) -> DataSet:
     """Globally rescale so the squared norms sum to one."""
-    return _normalized(dataset.signals.copy(), dataset.seed, dataset.label)
+    return _normalized(dataset.signals.copy())
 
 
-def _normalized(X: np.ndarray, seed: int | None, label: str) -> DataSet:
+def _normalized(X: np.ndarray) -> DataSet:
     """The dataset of X scaled in place to unit total energy, for a fresh
     (N, d) complex matrix X that nothing else holds."""
     total = _total_energy(X)
@@ -82,7 +76,7 @@ def _normalized(X: np.ndarray, seed: int | None, label: str) -> DataSet:
         raise ValueError("cannot normalize an all-zero dataset")
     X *= total**-0.5
     X.setflags(write=False)
-    return DataSet._kept(X, seed, label)
+    return DataSet._kept(X)
 
 
 def _rng(N: int, d: int, seed: int) -> np.random.Generator:
@@ -123,7 +117,7 @@ def gen_chirps(N: int, d: int, seed: int = 0) -> DataSet:
     # row i: the chirp times the envelope rotated by shift[i]
     X = (np.exp(2j * np.pi * (f0[:, None] * t + 0.5 * rate[:, None] * t**2))
          * _barthann(d)[(np.arange(d) - shift[:, None]) % d])
-    return _normalized(X, seed, f"chirps(N={N},d={d})")
+    return _normalized(X)
 
 
 def gen_hermite_pair_state(t: float, g: np.ndarray, h: np.ndarray) -> HermitianOperator:
@@ -168,7 +162,7 @@ def gen_local_components(N: int, d: int, noise_energy: float = 0.0, seed: int = 
         noise -= np.vdot(atom, noise) * atom / np.vdot(atom, atom)
         noise *= (noise_energy**0.5) / np.linalg.norm(noise)
         X[i] = c * atom + noise
-    return _normalized(X, seed, f"local_components(N={N},d={d},noise={noise_energy})")
+    return _normalized(X)
 
 
 def _tf_weight(r: float) -> float:
@@ -192,7 +186,7 @@ def gen_random_tf_weighted(N: int, d: int, seed: int = 0) -> DataSet:
         2j * np.pi * rng.uniform(size=(N, len(lattice)))
     )
     X = (coeffs * weights[None, :]) @ atoms
-    return _normalized(X, seed, f"tf_weighted(N={N},d={d})")
+    return _normalized(X)
 
 
 def gen_gaussian_combos(N: int, d: int, seed: int = 0) -> DataSet:
@@ -209,7 +203,7 @@ def gen_gaussian_combos(N: int, d: int, seed: int = 0) -> DataSet:
         picks = rng.integers(0, 3, size=3)
         c = rng.uniform(size=3) * np.exp(2j * np.pi * rng.uniform(size=3))
         X[i] = c @ atoms[picks]
-    return _normalized(X, seed, f"gaussian_combos(N={N},d={d})")
+    return _normalized(X)
 
 
 def _lattice_atoms(d: int, lattice) -> np.ndarray:

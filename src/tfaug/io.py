@@ -51,7 +51,7 @@ def read_signals_binary(path) -> DataSet:
         raise ValueError(f"{path}: truncated, expected {expect} bytes, got {len(raw)}")
     # a view of the bytes; re + 1j*im would turn a -0.0 real part into +0.0
     X = np.frombuffer(raw, dtype="<c16", count=N * d, offset=12).reshape(N, d)
-    return DataSet._kept(_check_finite(path, X), label=f"file({Path(path).name})")
+    return DataSet._kept(_check_finite(path, X))
 
 
 def write_signals_csv(path, dataset: DataSet) -> None:
@@ -86,7 +86,7 @@ def read_signals_csv(path) -> DataSet:
         X = _csv_rows(path, d, N)
     X.setflags(write=False)
     X = _check_finite(path, X).view(np.complex128)
-    return DataSet._kept(X, label=f"file({Path(path).name})")
+    return DataSet._kept(X)
 
 
 def _csv_rows(path, d: int, N: int) -> np.ndarray:
@@ -117,7 +117,7 @@ def read_signals(path) -> DataSet:
 
 
 def domain_to_json(domain: Domain) -> str:
-    return json.dumps(domain.to_json_dict(), sort_keys=True)
+    return json.dumps({"d": domain.d, **domain.descriptor}, sort_keys=True)
 
 
 def _is_int(value) -> bool:

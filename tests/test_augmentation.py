@@ -212,10 +212,19 @@ class TestAugmentDataset:
         assert len(T.augment_dataset(dom, ds)) == 3 * dom.n_cells
 
     def test_signal_cap(self, rng):
-        d = 16
+        # 5 signals x 65 536 cells is over the cap
+        d = 256
         ds = rand_dataset(rng, 5, d)
         with pytest.raises(ValueError):
-            T.augment_dataset(T.full_domain(d), ds, max_signals=100)
+            T.augment_dataset(T.full_domain(d), ds)
+
+    def test_signal_cap_boundary(self, rng):
+        # one cell per signal at d = 1: the output count is the signal count
+        X = rng.standard_normal((200_001, 1)) + 0j
+        dom = T.full_domain(1)
+        assert len(T.augment_dataset(dom, T.DataSet(X[:200_000]))) == 200_000
+        with pytest.raises(ValueError, match=r"200001 signals \(cap 200000\)"):
+            T.augment_dataset(dom, T.DataSet(X))
 
     def test_cap_checked_before_allocating(self, rng):
         # the cell list of the full d=2048 grid alone takes 67 MB

@@ -401,6 +401,66 @@ class TestCli:
         assert "domain field 'd' is 16, but the signals have d = 64" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", ["metrics", "augment", "bounds"])
+    def test_domain_and_rect_together_exit_2(self, rng, tmp_path, capsys, cmd):
+        # neither flag is silently dropped: argparse refuses the pair
+        sig, dom, out = tmp_path / "s.bin", tmp_path / "dom.json", tmp_path / "aug.bin"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        dom.write_text(T.domain_to_json(T.full_domain(16)))
+        argv = [cmd, "--in", str(sig), "--domain", str(dom), "--rect", "1", "1"]
+        assert _exit_code(argv + (["--out", str(out)] if cmd == "augment" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: argument --rect: not allowed with argument --domain")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cmd", ["augment", "bounds"])
+    def test_domain_required_exit_2(self, rng, tmp_path, capsys, cmd):
+        sig, out = tmp_path / "s.bin", tmp_path / "aug.bin"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        argv = [cmd, "--in", str(sig)]
+        assert _exit_code(argv + (["--out", str(out)] if cmd == "augment" else [])) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: one of the arguments --domain --rect is required")
+        assert not out.exists()
+
+    def test_metrics_without_domain_prints_no_domain_keys(self, rng, tmp_path, capsys):
+        sig = tmp_path / "s.bin"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        assert main(["metrics", "--in", str(sig)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out) == {"n_signals", "d", "H", "effective_dimension"}
+
+    @pytest.mark.parametrize("case", ["no_experiment", "config_not_object",
+                                      "config_malformed", "domain_missing"])
+    def test_usage_message_exit_2(self, rng, tmp_path, capsys, case):
+        sig, path = tmp_path / "s.bin", tmp_path / "in.json"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        argv, line = {
+            "no_experiment": (["experiment"],
+                              "error: provide --experiment NAME or a config with one"),
+            "config_not_object": (["experiment", "--config", str(path)],
+                                  f"error: config {path} is not a JSON object"),
+            "config_malformed": (["experiment", "--config", str(path)],
+                                 f"error: cannot read config {path}: "
+                                 "Expecting value: line 1 column 1 (char 0)"),
+            "domain_missing": (["metrics", "--in", str(sig), "--domain", str(path)],
+                               f"error: cannot read domain {path}: "
+                               f"[Errno 2] No such file or directory: '{path}'"),
+        }[case]
+        if case.startswith("config"):
+            path.write_text("[1, 2]" if case == "config_not_object" else "nope")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_convert_refuses_a_domain_file(self, tmp_path, capsys):
+        dom, out = tmp_path / "dom.json", tmp_path / "x.json"
+        dom.write_text(T.domain_to_json(T.full_domain(16)))
+        assert main(["convert", "--in", str(dom), "--out", str(out)]) == 2
+        assert f"cannot read signals {dom}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_experiment_exit_2(self, capsys):
         assert main(["experiment", "--experiment", "nope"]) == 2
 
@@ -421,6 +481,14 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "chirps"])  # missing required args
         assert exc.value.code == 2
+
+
+def _exit_code(argv):
+    """main's exit code, whether main returns it or argparse raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
 
 
 class TestDeterminism:
