@@ -1,9 +1,11 @@
 """Phase-space domains and data augmentation by time-frequency shifts.
 
-A Domain is a boolean cell mask on the torus grid.  Augmenting a dataset
-over a domain Omega averages the operator-shifted data operator over the
-cells of Omega; dividing by the measure |Omega| gives a trace-one operator
-again.
+A Domain is a non-empty boolean cell mask on the torus grid: an empty one,
+such as a rectangle that selects no cell, raises ValueError when built, and
+`io.domain_to_json` writes any domain so that it reads back to the same
+mask.  Augmenting a dataset over a domain Omega averages the
+operator-shifted data operator over the cells of Omega; dividing by the
+measure |Omega| gives a trace-one operator again.
 """
 
 import math
@@ -16,17 +18,21 @@ from .operators import HermitianOperator, _clamped, fn_op_convolve
 from .tf_core import _tf_shifts, signed_indices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Domain:
-    """Boolean mask on the phase grid with measure and discrete perimeter."""
+    """Non-empty boolean mask on the phase grid with measure and discrete
+    perimeter.  `rect` is a rectangle's (width, height, center), set only by
+    `make_rect_domain`, and None for any other mask."""
 
     mask: np.ndarray
-    descriptor: dict = field(default_factory=dict)
+    rect: tuple | None = field(init=False, default=None)
 
     def __post_init__(self):
         mask = np.array(self.mask, dtype=bool)  # copied: the caller's array stays writable
         if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
             raise ValueError(f"mask must be square 2-d, got shape {mask.shape}")
+        if not mask.any():
+            raise ValueError("domain is empty")
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
 
@@ -56,10 +62,6 @@ class Domain:
         """Indices (m, n) of the cells in the domain, shape (n_cells, 2)."""
         return np.argwhere(self.mask)
 
-    def indicator(self) -> np.ndarray:
-        """chi_Omega as a real grid function."""
-        return self.mask.astype(float)
-
 
 def make_rect_domain(
     d: int,
@@ -70,7 +72,8 @@ def make_rect_domain(
     """Axis-aligned rectangle in phase units, cyclically embedded.
 
     Selects the cells whose centers lie in the closed rectangle of the given
-    width (time axis) and height (frequency axis) around center.
+    width (time axis) and height (frequency axis) around center; one that
+    selects no cell raises ValueError.
     """
     k = signed_indices(d)
     given = {"width": float(width), "height": float(height), "center": tuple(map(float, center))}
@@ -92,11 +95,9 @@ def make_rect_domain(
 
     tm = _axis_mask(width, center[0])
     fm = _axis_mask(height, center[1])
-    mask = tm[:, None] & fm[None, :]
-    return Domain(
-        mask,
-        {"shape": "rect", "width": width, "height": height, "center": list(center)},
-    )
+    domain = Domain(tm[:, None] & fm[None, :])
+    object.__setattr__(domain, "rect", (width, height, tuple(center)))
+    return domain
 
 
 def make_cells_domain(d: int, cells) -> Domain:
@@ -104,12 +105,11 @@ def make_cells_domain(d: int, cells) -> Domain:
     mask = _blank_mask(d)
     for m, n in cells:
         mask[m % d, n % d] = True
-    kept = [[int(m), int(n)] for m, n in np.argwhere(mask)]
-    return Domain(mask, {"shape": "cells", "cells": kept})
+    return Domain(mask)
 
 
 def full_domain(d: int) -> Domain:
-    return Domain(~_blank_mask(d), {"shape": "full"})
+    return Domain(~_blank_mask(d))
 
 
 def _blank_mask(d: int) -> np.ndarray:
@@ -122,15 +122,10 @@ def scale_domain(domain: Domain, factor: float) -> Domain:
     """Rescale a rectangle domain's side lengths by factor."""
     if not 0.0 < factor < math.inf:
         raise ValueError(f"scale factor must be finite and positive, got {factor}")
-    desc = domain.descriptor
-    if desc.get("shape") != "rect":
+    if domain.rect is None:
         raise ValueError("only rectangle domains can be scaled")
-    return make_rect_domain(
-        domain.d,
-        desc["width"] * factor,
-        desc["height"] * factor,
-        tuple(desc.get("center", (0.0, 0.0))),
-    )
+    width, height, center = domain.rect
+    return make_rect_domain(domain.d, width * factor, height * factor, center)
 
 
 def mixed_state_localization(domain: Domain, S) -> HermitianOperator:
@@ -140,8 +135,6 @@ def mixed_state_localization(domain: Domain, S) -> HermitianOperator:
     trace-one S.  The boolean mask is convolved as the indicator, so a
     rectangle's transform takes two 1-d FFTs.
     """
-    if domain.n_cells == 0:
-        raise ValueError("domain is empty")
     return fn_op_convolve(domain.mask, S)
 
 
@@ -178,8 +171,6 @@ def augment_dataset(domain: Domain, dataset: DataSet) -> DataSet:
     Its data operator equals mixed_state_localization(Omega, S) / |Omega|.
     """
     n_out = domain.n_cells * len(dataset)
-    if n_out == 0:
-        raise ValueError("domain is empty")
     if n_out > MAX_AUGMENTED_SIGNALS:
         raise ValueError(
             f"augmentation would produce {n_out} signals (cap {MAX_AUGMENTED_SIGNALS})"

@@ -43,7 +43,7 @@ def _load_domain(args, d: int):
         return make_rect_domain(d, *args.rect)
     try:
         return domain_from_json(Path(args.domain).read_text(), d)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise ValueError(f"cannot read domain {args.domain}: {e}")
 
 
@@ -233,10 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return e.code
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from .operators import HermitianOperator, tensor_product
 from .tf_core import _tf_shifts, gaussian_window, signed_indices, tf_shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataSet:
     """N equal-length signals as the rows of one read-only (N, d) complex matrix.
 

@@ -117,7 +117,15 @@ def read_signals(path) -> DataSet:
 
 
 def domain_to_json(domain: Domain) -> str:
-    return json.dumps({"d": domain.d, **domain.descriptor}, sort_keys=True)
+    """The JSON object that `domain_from_json` reads back to the same mask."""
+    if domain.rect is not None:
+        width, height, center = domain.rect
+        spec = {"shape": "rect", "width": width, "height": height, "center": list(center)}
+    elif domain.mask.all():
+        spec = {"shape": "full"}
+    else:
+        spec = {"shape": "cells", "cells": domain.cells().tolist()}
+    return json.dumps({"d": domain.d, **spec}, sort_keys=True)
 
 
 def _is_int(value) -> bool:

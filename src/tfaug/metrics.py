@@ -118,8 +118,7 @@ def projection_functional_spectral(A) -> float:
 
 def _domain_autocorrelation(domain: Domain) -> np.ndarray:
     """C[v] = number of cell pairs (z, z + v) both inside the domain."""
-    chi = domain.indicator()
-    F = np.fft.fft2(chi)
+    F = np.fft.fft2(domain.mask)
     return np.fft.ifft2(np.conj(F) * F).real
 
 
@@ -132,8 +131,6 @@ def alc(S_tilde: np.ndarray, domain: Domain) -> float:
     must be non-negative with unit mass; the value is clamped to [0, 1]
     only within 1e-9 and rejected beyond.
     """
-    if domain.n_cells == 0:
-        raise ValueError("domain is empty")
     S_tilde = np.asarray(S_tilde, dtype=float)
     d = domain.d
     if S_tilde.shape != (d, d):
@@ -162,7 +159,7 @@ def localize(S, domain: Domain) -> Localization:
     `alc(S-tilde, Omega)` and is range-checked as there.  L's eigenvalues
     are solved once; one below -1e-8 min(1, |Omega|) max(1, max lambda)
     raises ValueError, which is never looser than checking L / |Omega| or L
-    at 1e-8.  An empty domain raises ValueError.
+    at 1e-8.
     """
     loc = mixed_state_localization(domain, S)
     omega = domain.measure

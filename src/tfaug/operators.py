@@ -33,7 +33,7 @@ import numpy as np
 from .tf_core import grid_convolve, grid_reflect, spectrogram
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A finite d x d Hermitian matrix, checked and symmetrized on construction.
 
@@ -48,7 +48,7 @@ class HermitianOperator:
     """
 
     matrix: np.ndarray
-    _factor: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    _factor: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=complex)

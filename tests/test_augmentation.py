@@ -27,6 +27,19 @@ class TestDomainMask:
         assert not dom.mask[8, 8]
 
 
+@pytest.mark.parametrize("build", [
+    lambda rng: rand_dataset(rng, 3, 8),
+    lambda rng: rand_state(rng, 3, 8),
+    lambda rng: T.make_rect_domain(8, 1.0, 1.0),
+], ids=["DataSet", "HermitianOperator", "Domain"])
+def test_array_holders_compare_by_identity(rng, build):
+    # a generated == would compare the arrays and raise, and a generated
+    # hash would hash them
+    x, y = build(rng), build(rng)
+    assert x in [y, x] and x != y
+    assert hash(x) == hash(x) and len({x, y, x}) == 2
+
+
 class TestRectDomain:
     def test_paper_square_measure(self):
         dom = T.make_rect_domain(100, 2.45, 2.45)
@@ -144,9 +157,8 @@ class TestMixedStateLocalization:
             assert val <= lam1 + 1e-9
 
     def test_empty_domain_rejected(self, rng):
-        dom = T.Domain(np.zeros((8, 8), dtype=bool))
         with pytest.raises(ValueError):
-            T.mixed_state_localization(dom, rand_state(rng, 2, 8))
+            T.mixed_state_localization(T.Domain(np.zeros((8, 8), dtype=bool)), rand_state(rng, 2, 8))
 
 
 class TestFiniteRankApprox:

@@ -23,7 +23,8 @@ from tfaug.io import (
     write_signals_csv,
 )
 
-from conftest import rand_dataset
+from conftest import disk_mask, rand_dataset
+from test_operators import l_shape_mask
 
 
 class TestSignalFiles:
@@ -173,6 +174,31 @@ class TestDomainJson:
         dom = T.make_cells_domain(8, [(0, 0), (3, 4)])
         back = T.domain_from_json(T.domain_to_json(dom))
         assert np.array_equal(back.mask, dom.mask)
+
+    @pytest.mark.parametrize("d", [2, 7, 16, 64])
+    def test_any_mask_round_trip(self, d):
+        for mask in (disk_mask(d, 0.4 * math.sqrt(d)), l_shape_mask(d)):
+            dom = T.Domain(mask)
+            assert np.array_equal(T.domain_from_json(T.domain_to_json(dom), d).mask, dom.mask)
+
+    @pytest.mark.parametrize("dom, text", [
+        (T.make_rect_domain(16, 2, 1.5, (0.5, 0.0)),
+         '{"center": [0.5, 0.0], "d": 16, "height": 1.5, "shape": "rect", "width": 2}'),
+        (T.full_domain(8), '{"d": 8, "shape": "full"}'),
+        (T.make_cells_domain(8, [(3, 4), (0, 0)]),
+         '{"cells": [[0, 0], [3, 4]], "d": 8, "shape": "cells"}'),
+    ], ids=["rect", "full", "cells"])
+    def test_written_bytes(self, dom, text):
+        assert T.domain_to_json(dom) == text
+
+    @pytest.mark.parametrize("build", [
+        lambda: T.Domain(np.zeros((8, 8), dtype=bool)),
+        lambda: T.make_rect_domain(16, 0.1, 0.1, center=(0.125, 0.0)),  # between cell centers
+        lambda: T.domain_from_json('{"d": 16, "shape": "cells", "cells": []}'),
+    ], ids=["mask", "rect", "cells_json"])
+    def test_empty_domain_rejected_when_built(self, build):
+        with pytest.raises(ValueError, match="domain is empty"):
+            build()
 
 
     @pytest.mark.parametrize("spec, field", [
@@ -408,7 +434,7 @@ class TestCli:
         T.write_signals(sig, rand_dataset(rng, 3, 16))
         dom.write_text(T.domain_to_json(T.full_domain(16)))
         argv = [cmd, "--in", str(sig), "--domain", str(dom), "--rect", "1", "1"]
-        assert _exit_code(argv + (["--out", str(out)] if cmd == "augment" else [])) == 2
+        assert main(argv + (["--out", str(out)] if cmd == "augment" else [])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].endswith(
@@ -420,7 +446,7 @@ class TestCli:
         sig, out = tmp_path / "s.bin", tmp_path / "aug.bin"
         T.write_signals(sig, rand_dataset(rng, 3, 16))
         argv = [cmd, "--in", str(sig)]
-        assert _exit_code(argv + (["--out", str(out)] if cmd == "augment" else [])) == 2
+        assert main(argv + (["--out", str(out)] if cmd == "augment" else [])) == 2
         assert capsys.readouterr().err.splitlines()[-1].endswith(
             "error: one of the arguments --domain --rect is required")
         assert not out.exists()
@@ -477,18 +503,28 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
-    def test_usage_error_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["gen", "--family", "chirps"])  # missing required args
-        assert exc.value.code == 2
+    def test_usage_error_exit_2(self, capsys):
+        # argparse's exit is returned like every other error's
+        assert main(["gen", "--family", "chirps"]) == 2  # missing required args
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: tfaug")
 
+    def test_key_error_is_a_bug_not_a_usage_error(self, rng, tmp_path, monkeypatch):
+        def broken(S):
+            raise KeyError("bug")
 
-def _exit_code(argv):
-    """main's exit code, whether main returns it or argparse raises SystemExit."""
-    try:
-        return main(argv)
-    except SystemExit as e:
-        return e.code
+        sig = tmp_path / "s.bin"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        monkeypatch.setattr(tfaug.cli, "effective_dimension", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["metrics", "--in", str(sig)])
+
+    def test_empty_cells_domain_exit_2(self, rng, tmp_path, capsys):
+        sig, dom = tmp_path / "s.bin", tmp_path / "dom.json"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        dom.write_text(json.dumps({"d": 16, "shape": "cells", "cells": []}))
+        assert main(["metrics", "--in", str(sig), "--domain", str(dom)]) == 2
+        assert capsys.readouterr().err == f"error: cannot read domain {dom}: domain is empty\n"
 
 
 class TestDeterminism:

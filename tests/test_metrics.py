@@ -593,9 +593,8 @@ class TestCheckBounds:
 
     def test_rejects_empty_domain(self, rng):
         d = 8
-        empty = T.Domain(np.zeros((d, d), dtype=bool))
         with pytest.raises(ValueError):
-            T.check_bounds(rand_state(rng, 2, d), empty)
+            T.check_bounds(rand_state(rng, 2, d), T.Domain(np.zeros((d, d), dtype=bool)))
 
 
 class TestEntropyCovariance:
