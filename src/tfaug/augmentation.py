@@ -77,6 +77,8 @@ def make_rect_domain(
     """
     k = signed_indices(d)
     given = {"width": float(width), "height": float(height), "center": tuple(map(float, center))}
+    if len(given["center"]) != 2:
+        raise ValueError(f"rectangle center must be two numbers, got {center}")
     for name, value in given.items():
         if not np.isfinite(value).all():
             raise ValueError(f"rectangle {name} must be finite, got {value}")

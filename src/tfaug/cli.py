@@ -43,7 +43,7 @@ def _load_domain(args, d: int):
         return make_rect_domain(d, *args.rect)
     try:
         return domain_from_json(Path(args.domain).read_text(), d)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, RecursionError) as e:  # json nests too deep
         raise ValueError(f"cannot read domain {args.domain}: {e}")
 
 
@@ -131,7 +131,7 @@ def cmd_experiment(args) -> int:
     if args.config:
         try:
             conf = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:  # json nests too deep
             raise ValueError(f"cannot read config {args.config}: {e}")
         if not isinstance(conf, dict):
             raise ValueError(f"config {args.config} is not a JSON object")

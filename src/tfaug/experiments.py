@@ -4,14 +4,15 @@ SVG plots, and a JSON report.
 Every run is fully determined by (config, seed): per-trial seeds are derived
 as seed + trial index and trials run in order, so reruns produce
 byte-identical CSV output.  `CATALOG` is the one table of experiments: each
-name maps to its runner and to every parameter the runner reads, with its
-default.
+name maps to its runner and to the sizes the runner reads (d, and N and
+trials where used), with their defaults.  Every other value of a run is a
+constant of its runner.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from functools import partial
 from pathlib import Path
 
@@ -48,55 +49,28 @@ from .tf_core import _hermite_family, gaussian_window
 DOMAIN_SHAPES = {"square": (2.45, 2.45), "wide": (4.0, 1.49), "tall": (1.49, 4.0)}
 DOMAIN_SCALES = (1.0, 1.3, 1.6)
 SIZE_FIELDS = ("d", "N", "trials")  # the config fields an experiment may read
-
-
-def _at_least(low):
-    return (lambda v, d: v >= low), f"be at least {low}"
-
-
-# every parameter's valid range: name -> (test of a value given the config's d,
-# what the test asks for); a name means the same thing in every experiment
-RANGES = {
-    **dict.fromkeys(("N", "trials", "n_seeds", "n_gauss"), _at_least(1)),
-    "seed": _at_least(0),
-    "N_values": (lambda v, d: len(v) > 0 and min(v) >= 1, "be a non-empty list of values >= 1"),
-    # chirp_ed's square of side_cells / sqrt(d) must fit the torus, local_components
-    # tabulates the n_eigs largest of d eigenvalues, hermite_mix the orders below n_max
-    **dict.fromkeys(("side_cells", "n_eigs", "n_max"),
-                    ((lambda v, d: 1 <= v <= d), "be between 1 and d = {d}")),
-    # local_components reads the noiseless column as mixed_0.0 (not mixed_-0.0) and
-    # the noise energy fractions in order
-    "noise_levels": (
-        lambda v, d: str(v[:1]) == "[0.0]" and all(a < b < 1 for a, b in zip(v, v[1:])),
-        "include 0.0 as its first level and increase strictly below 1"),
-}
 # each experiment's least d (else 1): its rectangle sides fit the torus side sqrt(d)
-# (ALC sweeps 4.0 x 1.6 = 6.4, sqrt(15), 3, bounds_suite's 1.2 <= 0.7 sqrt(d)),
-# hermite_interp needs h_9 and the Gaussian window d >= 4
-LEAST_D = {"gauss_alc": 41, "chirp_alc": 41, "alc_vs_ed": 41, "local_components": 15,
-           "hermite_interp": 10, "hermite_mix": 9, "cohen_demo": 4, "tf_weighted": 4,
-           "bounds_suite": 3}
-
-
-def _same_type(value, default) -> bool:
-    """value has default's type; a list's items have the type of default's items."""
-    if isinstance(default, list):
-        return type(value) is list and all(type(v) is type(default[0]) for v in value)
-    return type(value) is type(default)
+# (ALC sweeps 4.0 x 1.6 = 6.4, chirp_ed's 80 / sqrt(d), bounds_suite's
+# 1.2 <= 0.7 sqrt(d)), local_components tabulates 40 of d eigenvalues,
+# hermite_mix needs h_15, hermite_interp h_9 and the Gaussian window d >= 4
+LEAST_D = {"gauss_alc": 41, "chirp_alc": 41, "alc_vs_ed": 41, "chirp_ed": 80,
+           "local_components": 40, "hermite_interp": 10, "hermite_mix": 16,
+           "cohen_demo": 4, "tf_weighted": 4, "bounds_suite": 3}
 
 
 @dataclass
 class ExperimentConfig:
     """Everything that determines a run; identical config means identical CSV.
 
-    `d`, `N` and `trials` default to None ("unset").  Construction resolves
-    the config against the experiment's `CATALOG` entry: unset fields and
-    missing `params` keys take the experiment's defaults, so the config, its
-    hash and the report record the run that actually happens.  An unknown
-    experiment, a field or key the experiment does not read, a value whose
-    type differs from the default's (for lists: the items' type) or a value
-    outside its range in `RANGES` (for d: the experiment's `LEAST_D`) raises
-    ValueError naming the parameter, the bound and the value.
+    An experiment reads `d` and `seed`, and `N` and `trials` where its
+    `CATALOG` entry lists them; its other values are constants of its
+    runner.  `d`, `N` and `trials` default to None ("unset"), and
+    construction gives each unset one the experiment's default, so the
+    config, its hash and the report record the run that actually happens.
+    An unknown experiment, a field the experiment does not read, or a read
+    value that is not an int (a bool is not) or is below its least value
+    (seed 0, N and trials 1, d the experiment's `LEAST_D`) raises ValueError
+    naming the field, the bound and the value.
     """
 
     experiment: str
@@ -106,7 +80,6 @@ class ExperimentConfig:
     trials: int | None = None
     out: str = "results"
     svg: bool = True
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in CATALOG:
@@ -115,25 +88,18 @@ class ExperimentConfig:
                 f"available: {', '.join(sorted(CATALOG))}"
             )
         defaults = CATALOG[self.experiment][1]
-        given = {k: getattr(self, k) for k in SIZE_FIELDS if getattr(self, k) is not None}
-        params = {k: v for k, v in defaults.items() if k not in SIZE_FIELDS}
-        unused = (set(given) - set(defaults)) | (set(self.params) - set(params))
-        if unused:
-            raise ValueError(f"{self.experiment} does not read {', '.join(sorted(unused))}")
-        params.update(self.params)
-        sizes = {k: given.get(k, defaults[k]) for k in SIZE_FIELDS if k in defaults}
         for key in SIZE_FIELDS:
-            setattr(self, key, sizes.get(key))
-        self.params = params
-        ranges = {**RANGES, "d": _at_least(LEAST_D.get(self.experiment, 1))}
-        # d first: the ranges of side_cells, n_eigs and n_max depend on it
-        for key, value in {**sizes, "seed": self.seed, **params}.items():
-            default = defaults.get(key, 0)
-            if not _same_type(value, default):
-                raise ValueError(f"{key} must have the type of {default!r}, got {value!r}")
-            holds, wording = ranges[key]
-            if not holds(value, self.d):
-                raise ValueError(f"{key} must {wording.format(d=self.d)}, got {value!r}")
+            if getattr(self, key) is None:
+                setattr(self, key, defaults.get(key))
+            elif key not in defaults:
+                raise ValueError(f"{self.experiment} does not read {key}")
+        least = {"d": LEAST_D.get(self.experiment, 1), "N": 1, "trials": 1, "seed": 0}
+        for key in (*defaults, "seed"):
+            value = getattr(self, key)
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an int, got {value!r}")
+            if value < least[key]:
+                raise ValueError(f"{key} must be at least {least[key]}, got {value}")
 
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""
@@ -145,12 +111,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Config from a JSON object; keys that are not fields are params."""
-        fields = cls.__dataclass_fields__
-        kwargs = {k: v for k, v in data.items() if k in fields}
-        extra = {k: v for k, v in data.items() if k not in fields}
-        kwargs["params"] = {**data.get("params", {}), **extra}
-        return cls(**kwargs)
+        """Config from a JSON object, each of whose keys must be a field."""
+        unused = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unused:
+            raise ValueError(f"{data.get('experiment')} does not read {', '.join(unused)}")
+        return cls(**data)
 
 
 class ResultTable:
@@ -273,14 +238,16 @@ def run_hermite_interp(config: ExperimentConfig):
 
 
 def run_chirp_ed(config: ExperimentConfig):
-    d, p = config.d, config.params
-    side = p["side_cells"] / math.sqrt(d)
+    """Entropy and rank of chirp datasets, plain and augmented over a square
+    of side 80/sqrt(d), for N = 100, 150, ..., 400 with 5 seeds each."""
+    d = config.d
+    side = 80 / math.sqrt(d)
     dom = make_rect_domain(d, side, side)
     table = ResultTable(
         ["N", "seed", "rank", "H", "ED", "H_aug", "ED_aug"], _meta(config)
     )
-    for N in p["N_values"]:
-        for s_i in range(p["n_seeds"]):
+    for N in range(100, 401, 50):
+        for s_i in range(5):
             ds = gen_chirps(N, d, seed=config.seed + s_i)
             H, rank = data_entropy_and_rank(ds.signals)
             H_aug = localize(data_operator(ds), dom).entropy
@@ -382,16 +349,19 @@ def run_alc_vs_ed(config: ExperimentConfig):
 
 
 def run_local_components(config: ExperimentConfig):
+    """The 40 largest eigenvalues and the entropies of a Gaussian state's
+    localization and of mixtures of 30 shifted Gaussians at noise energies
+    0.0, 0.1 and 0.3."""
     d = config.d
     side = math.sqrt(15.0)
     dom = make_rect_domain(d, side, side)
     g = gaussian_window(d)
     S_classical = HermitianOperator(tensor_product(g, g))
-    noise_levels, n_eigs = config.params["noise_levels"], config.params["n_eigs"]
+    noise_levels, n_eigs = (0.0, 0.1, 0.3), 40
     ops = {"classical": S_classical}
     for ne in noise_levels:
         ops[f"mixed_{ne}"] = data_operator(
-            gen_local_components(config.params["n_gauss"], d, noise_energy=ne, seed=config.seed)
+            gen_local_components(30, d, noise_energy=ne, seed=config.seed)
         )
     cols = ["k"] + [f"eig_{name}" for name in ops]
     table = ResultTable(cols, _meta(config))
@@ -422,17 +392,20 @@ def run_local_components(config: ExperimentConfig):
 
 
 def run_hermite_mix(config: ExperimentConfig):
+    """Augmented entropy of h_{n-1} alone and of the first n Hermite
+    functions mixed, for n = 1..16.  The crossover is the first n >= 2 where
+    the mixture's lies at or below the single state's: at n = 1 both states
+    are h_0, so their entropies are equal."""
     d = config.d
     dom = make_rect_domain(d, 3.0, 3.0)  # area 9
-    n_max = config.params["n_max"]
-    fam = _hermite_family(d, n_max - 1)
+    fam = _hermite_family(d, 15)
     table = ResultTable(["n", "H_single", "H_accumulated"], _meta(config))
-    for n in range(1, n_max + 1):
+    for n in range(1, 17):
         hn = fam[:, n - 1]
         S_single = HermitianOperator._built(tensor_product(hn, hn))
         S_accum = HermitianOperator._built(fam[:, :n] @ fam[:, :n].conj().T / n)
         table.add(n, localize(S_single, dom).entropy, localize(S_accum, dom).entropy)
-    crossover = next((r[0] for r in table.rows if r[2] <= r[1]), None)
+    crossover = next((r[0] for r in table.rows[1:] if r[2] <= r[1]), None)
     report = {"crossover_n": crossover, "domain_measure": dom.measure}
     curves = {
         "single h_n": [(r[0], r[1]) for r in table.rows],
@@ -497,23 +470,18 @@ def run_bounds_suite(config: ExperimentConfig):
     return table, report, {}
 
 
-# name -> (runner, every parameter the runner reads with its default)
+# name -> (runner, each of d, N and trials the runner reads with its default)
 CATALOG = {
     "hermite_interp": (run_hermite_interp, {"d": 128}),
-    "chirp_ed": (run_chirp_ed, {
-        "d": 280, "side_cells": 80, "n_seeds": 5,
-        "N_values": [100, 150, 200, 250, 300, 350, 400],
-    }),
+    "chirp_ed": (run_chirp_ed, {"d": 280}),
     "chirp_totalcorr": (partial(_run_totalcorr, gen_chirps), {"d": 280, "N": 150}),
     "gauss_alc": (
         partial(_run_alc_family, gen_gaussian_combos), {"d": 128, "N": 50, "trials": 100}
     ),
     "chirp_alc": (partial(_run_alc_family, gen_chirps), {"d": 280, "N": 50, "trials": 100}),
     "alc_vs_ed": (run_alc_vs_ed, {"d": 280, "N": 150}),
-    "local_components": (run_local_components, {
-        "d": 128, "noise_levels": [0.0, 0.1, 0.3], "n_gauss": 30, "n_eigs": 40,
-    }),
-    "hermite_mix": (run_hermite_mix, {"d": 128, "n_max": 16}),
+    "local_components": (run_local_components, {"d": 128}),
+    "hermite_mix": (run_hermite_mix, {"d": 128}),
     "tf_weighted": (partial(_run_totalcorr, gen_random_tf_weighted), {"d": 128, "N": 500}),
     "cohen_demo": (run_cohen_demo, {"d": 280, "N": 150}),
     "bounds_suite": (run_bounds_suite, {"d": 32, "trials": 50}),

@@ -79,6 +79,12 @@ class TestRectDomain:
         with pytest.raises(ValueError, match=message):
             T.make_rect_domain(16, *args)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 5.0), (0.0,), ()])
+    def test_center_not_two_numbers_rejected(self, center):
+        # domain_to_json would write it as a center that domain_from_json refuses
+        with pytest.raises(ValueError, match="rectangle center must be two numbers"):
+            T.make_rect_domain(16, 1.0, 1.0, center)
+
     @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.0, -1.0])
     def test_scaling_by_non_finite_rejected(self, factor):
         base = T.make_rect_domain(16, 1.0, 1.0)

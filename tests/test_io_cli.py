@@ -14,7 +14,7 @@ import pytest
 import tfaug as T
 import tfaug.cli
 from tfaug.cli import main
-from tfaug.experiments import CATALOG, LEAST_D, RANGES
+from tfaug.experiments import CATALOG, LEAST_D
 from tfaug.floattext import _CHUNK
 from tfaug.io import (
     read_signals_binary,
@@ -406,6 +406,21 @@ class TestCli:
         assert main(["metrics", "--in", str(sig), "--domain", str(dom)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_deeply_nested_domain_file_exit_2(self, rng, tmp_path, capsys):
+        # json's decoder recurses once per '[': too deep a file is a read error
+        sig, dom = tmp_path / "s.bin", tmp_path / "dom.json"
+        T.write_signals(sig, rand_dataset(rng, 3, 16))
+        dom.write_text("[" * 100_000)
+        assert main(["metrics", "--in", str(sig), "--domain", str(dom)]) == 2
+        assert f"cannot read domain {dom}: maximum recursion depth" in capsys.readouterr().err
+
+    def test_deeply_nested_config_exit_2(self, tmp_path, capsys):
+        conf, out = tmp_path / "conf.json", tmp_path / "out"
+        conf.write_text("[" * 100_000)
+        assert main(["experiment", "--config", str(conf), "--out", str(out)]) == 2
+        assert f"cannot read config {conf}: maximum recursion depth" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("rect, message", [
         (["nan", "1"], "rectangle width must be finite, got nan"),
         (["1", "inf"], "rectangle height must be finite, got inf"),
@@ -602,10 +617,11 @@ class TestExperimentConfig:
         assert not (tmp_path / "hermite_interp.csv").exists()
 
     def test_hermite_mix_without_orders_exit_2(self, tmp_path, capsys):
+        # hermite_mix's orders n = 1..16 are fixed, so n_max is no key
         conf = tmp_path / "conf.json"
         conf.write_text(json.dumps({"experiment": "hermite_mix", "n_max": 0, "d": 16}))
         assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
-        assert "bad config: n_max must be between 1 and d = 16, got 0" in capsys.readouterr().err
+        assert "bad config: hermite_mix does not read n_max" in capsys.readouterr().err
         assert not (tmp_path / "hermite_mix.csv").exists()
 
     def test_wrong_type_exit_2(self, tmp_path):
@@ -624,7 +640,8 @@ class TestExperimentConfig:
         conf.write_text(json.dumps({"experiment": "local_components", "d": 48,
                                     "noise_levels": [0.1, 0.3], "n_gauss": 10}))
         assert main(["experiment", "--config", str(conf), "--out", str(tmp_path)]) == 2
-        assert "bad config: noise_levels must include 0.0" in capsys.readouterr().err
+        assert "bad config: local_components does not read n_gauss, noise_levels" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "local_components.csv").exists()
 
     @pytest.mark.parametrize("d", ["0", "-3"])
@@ -635,13 +652,13 @@ class TestExperimentConfig:
         assert not (tmp_path / "gauss_alc.csv").exists()
 
     def test_n_eigs_message_names_tested_value(self):
-        with pytest.raises(ValueError, match="n_eigs must be between 1 and d = 16, got 0"):
-            T.ExperimentConfig("local_components", d=16, params={"n_eigs": 0})
+        with pytest.raises(ValueError, match="local_components does not read n_eigs"):
+            T.ExperimentConfig.from_dict({"experiment": "local_components", "n_eigs": 0})
 
     def test_n_eigs_above_d_exit_2(self, tmp_path, capsys):
         assert main(["experiment", "--experiment", "local_components", "--d", "32",
                      "--out", str(tmp_path), "--no-svg"]) == 2
-        assert "bad config: n_eigs must be between 1 and d = 32, got 40" in capsys.readouterr().err
+        assert "bad config: d must be at least 40, got 32" in capsys.readouterr().err
         assert not (tmp_path / "local_components.csv").exists()
 
     def test_undeclared_field_rejected(self):
@@ -649,8 +666,9 @@ class TestExperimentConfig:
             T.ExperimentConfig("hermite_mix", N=999)
 
     def test_every_parameter_has_a_range(self):
-        read = {"seed"}.union(*(defaults for _, defaults in CATALOG.values()))
-        assert read - {"d"} <= set(RANGES)
+        # seed and these three sizes are the only values a config sets
+        read = set().union(*(defaults for _, defaults in CATALOG.values()))
+        assert read == {"d", "N", "trials"}
 
     @pytest.mark.parametrize("conf, name", [
         ({"experiment": "chirp_ed", "N_values": []}, "N_values"),
@@ -667,22 +685,26 @@ class TestExperimentConfig:
         ({"experiment": "chirp_totalcorr", "seed": -1}, "seed"),
         ({"experiment": "hermite_mix", "d": 16, "n_max": 0}, "n_max"),
         ({"experiment": "hermite_mix", "d": 16, "n_max": 300}, "n_max"),
+        ({"experiment": "chirp_ed", "params": [1]}, "params"),
     ])
     def test_value_outside_declared_range_exit_2(self, tmp_path, capsys, conf, name):
+        # d and seed below their least values; every other key is one that
+        # no experiment reads any more, and is refused by name
         path = tmp_path / "conf.json"
         path.write_text(json.dumps(conf))
         out = tmp_path / "out"
         assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
-        assert f"bad config: {name} must " in capsys.readouterr().err
+        refused = f"{name} must " if name in ("d", "seed") else (
+            f"{conf['experiment']} does not read {name}")
+        assert f"bad config: {refused}" in capsys.readouterr().err
         assert not out.exists()
 
-    # a small config of every experiment whose other parameters fit its least d
+    # a small config of every experiment that reads N or trials
     SMALL = {
-        "hermite_interp": {}, "hermite_mix": {"n_max": 3},
-        "chirp_ed": {"side_cells": 1, "N_values": [2], "n_seeds": 1},
+        "hermite_interp": {}, "hermite_mix": {}, "chirp_ed": {},
         "chirp_totalcorr": {"N": 2}, "tf_weighted": {"N": 3}, "cohen_demo": {"N": 3},
         "gauss_alc": {"N": 3, "trials": 1}, "chirp_alc": {"N": 3, "trials": 1},
-        "alc_vs_ed": {"N": 3}, "local_components": {"n_gauss": 3, "n_eigs": 3},
+        "alc_vs_ed": {"N": 3}, "local_components": {},
         "bounds_suite": {"trials": 2},
     }
 
@@ -701,7 +723,8 @@ class TestExperimentConfig:
         # the runner itself fails one below, so the declared bound is not too strict
         config = T.ExperimentConfig.from_dict({"experiment": name, "d": least, **self.SMALL[name]})
         config.d = least - 1
-        with pytest.raises((ValueError, ZeroDivisionError)):  # chirp_ed divides by sqrt(d)
+        # chirp_ed divides by sqrt(d); local_components tabulates 40 eigenvalues
+        with pytest.raises((ValueError, ZeroDivisionError, IndexError)):
             CATALOG[name][0](config)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))

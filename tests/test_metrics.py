@@ -380,6 +380,29 @@ class TestLemmaAndFiniteRank:
             verdict = checks(S, dom)["perimeter"].verdict
             assert verdict in ("pass", "vacuous")
 
+    @pytest.mark.parametrize("d, make", [
+        (8, lambda d: T.make_rect_domain(d, 1.5, 2.0)),
+        (9, lambda d: T.make_rect_domain(d, 2.0, 1.0, (1.0, -0.5))),
+        (8, lambda d: T.make_cells_domain(d, [(0, 0), (1, 2), (7, 7), (0, 7), (4, 4)])),
+        (9, lambda d: T.make_cells_domain(d, [(m, n) for m in range(4) for n in range(m + 1)])),
+    ])
+    def test_perimeter_rhs_matches_direct_sum(self, rng, d, make):
+        # (boundary / |Omega|) (1/d) sum_z S-tilde(z) |z|, from explicit loops over the cells
+        dom = make(d)
+        S = rand_state(rng, 3, d)
+        St = T.total_correlation(S)
+        mask = dom.mask
+        edges = 0
+        moment = 0.0
+        for m in range(d):
+            for n in range(d):
+                edges += int(mask[m, n] != mask[(m + 1) % d, n])
+                edges += int(mask[m, n] != mask[m, (n + 1) % d])
+                moment += St[m, n] * math.hypot(min(m, d - m), min(n, d - n)) / math.sqrt(d)
+        perimeter = edges / math.sqrt(d)
+        expected = perimeter / dom.measure * (moment / d)
+        assert checks(S, dom)["perimeter"].rhs == pytest.approx(expected, rel=1e-12)
+
     def test_general_berezin_lieb(self, rng):
         d = 16
         for _ in range(10):
