@@ -135,20 +135,14 @@ def cmd_experiment(args) -> int:
             raise ValueError(f"cannot read config {args.config}: {e}")
         if not isinstance(conf, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
-    if args.experiment:
-        conf["experiment"] = args.experiment
+    for key in ExperimentConfig.__dataclass_fields__:  # flags override the config
+        if (value := getattr(args, key, None)) is not None:
+            conf[key] = value
     if "experiment" not in conf:
         raise ValueError("provide --experiment NAME or a config with one")
-    # command line overrides the config file
-    for key in ("seed", "d", "out", "trials", "N"):
-        val = getattr(args, key, None)
-        if val is not None:
-            conf[key] = val
-    if args.svg is not None:
-        conf["svg"] = args.svg
     try:
         config = ExperimentConfig.from_dict(conf)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ValueError(f"bad config: {e}")
     table, report = run_experiment(config)
     print(f"wrote {len(table)} rows to {config.out}/{config.experiment}.csv")

@@ -48,14 +48,6 @@ from .tf_core import _hermite_family, gaussian_window
 # square, wide-in-time, narrow-in-time, each of measure about 6
 DOMAIN_SHAPES = {"square": (2.45, 2.45), "wide": (4.0, 1.49), "tall": (1.49, 4.0)}
 DOMAIN_SCALES = (1.0, 1.3, 1.6)
-SIZE_FIELDS = ("d", "N", "trials")  # the config fields an experiment may read
-# each experiment's least d (else 1): its rectangle sides fit the torus side sqrt(d)
-# (ALC sweeps 4.0 x 1.6 = 6.4, chirp_ed's 80 / sqrt(d), bounds_suite's
-# 1.2 <= 0.7 sqrt(d)), local_components tabulates 40 of d eigenvalues,
-# hermite_mix needs h_15, hermite_interp h_9 and the Gaussian window d >= 4
-LEAST_D = {"gauss_alc": 41, "chirp_alc": 41, "alc_vs_ed": 41, "chirp_ed": 80,
-           "local_components": 40, "hermite_interp": 10, "hermite_mix": 16,
-           "cohen_demo": 4, "tf_weighted": 4, "bounds_suite": 3}
 
 
 @dataclass
@@ -67,10 +59,11 @@ class ExperimentConfig:
     runner.  `d`, `N` and `trials` default to None ("unset"), and
     construction gives each unset one the experiment's default, so the
     config, its hash and the report record the run that actually happens.
-    An unknown experiment, a field the experiment does not read, or a read
-    value that is not an int (a bool is not) or is below its least value
-    (seed 0, N and trials 1, d the experiment's `LEAST_D`) raises ValueError
-    naming the field, the bound and the value.
+    Construction checks every field in order and raises ValueError naming
+    the first bad one: an unknown experiment, a size the experiment does
+    not read, a read size or seed that is not an int (a bool is not) or is
+    below its least value (seed 0, N and trials 1, d the experiment's least
+    d), an `out` that is not a str or an `svg` that is not a bool.
     """
 
     experiment: str
@@ -82,24 +75,28 @@ class ExperimentConfig:
     svg: bool = True
 
     def __post_init__(self):
-        if self.experiment not in CATALOG:
+        if not isinstance(self.experiment, str) or self.experiment not in CATALOG:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
                 f"available: {', '.join(sorted(CATALOG))}"
             )
-        defaults = CATALOG[self.experiment][1]
-        for key in SIZE_FIELDS:
+        _, defaults, least_d = CATALOG[self.experiment]
+        least = {"d": least_d, "N": 1, "trials": 1}  # the sizes, None when unset
+        for key in least:
             if getattr(self, key) is None:
                 setattr(self, key, defaults.get(key))
             elif key not in defaults:
                 raise ValueError(f"{self.experiment} does not read {key}")
-        least = {"d": LEAST_D.get(self.experiment, 1), "N": 1, "trials": 1, "seed": 0}
-        for key in (*defaults, "seed"):
+        read = {key: least[key] for key in defaults} | {"seed": 0}
+        for key, low in read.items():
             value = getattr(self, key)
             if type(value) is not int:
                 raise ValueError(f"{key} must be an int, got {value!r}")
-            if value < least[key]:
-                raise ValueError(f"{key} must be at least {least[key]}, got {value}")
+            if value < low:
+                raise ValueError(f"{key} must be at least {low}, got {value}")
+        for key, kind in (("out", str), ("svg", bool)):  # a numpy bool is no bool
+            if not isinstance(value := getattr(self, key), kind):
+                raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
 
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""
@@ -112,10 +109,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Config from a JSON object, each of whose keys must be a field."""
-        unused = sorted(set(data) - set(cls.__dataclass_fields__))
+        fields = cls.__dataclass_fields__
+        config = cls(**{key: value for key, value in data.items() if key in fields})
+        unused = sorted(set(data) - set(fields))
         if unused:
-            raise ValueError(f"{data.get('experiment')} does not read {', '.join(unused)}")
-        return cls(**data)
+            raise ValueError(f"{config.experiment} does not read {', '.join(unused)}")
+        return config
 
 
 class ResultTable:
@@ -470,21 +469,24 @@ def run_bounds_suite(config: ExperimentConfig):
     return table, report, {}
 
 
-# name -> (runner, each of d, N and trials the runner reads with its default)
+# name -> (runner, each of d, N and trials it reads with its default, least d).
+# The least d fits each rectangle side in the torus side sqrt(d) (ALC sweeps
+# 4.0 x 1.6 = 6.4, chirp_ed's 80 / sqrt(d), bounds_suite's 1.2 <= 0.7 sqrt(d)),
+# 40 eigenvalues for local_components, h_15 for hermite_mix, h_9 for
+# hermite_interp and d >= 4 for the Gaussian window.
 CATALOG = {
-    "hermite_interp": (run_hermite_interp, {"d": 128}),
-    "chirp_ed": (run_chirp_ed, {"d": 280}),
-    "chirp_totalcorr": (partial(_run_totalcorr, gen_chirps), {"d": 280, "N": 150}),
-    "gauss_alc": (
-        partial(_run_alc_family, gen_gaussian_combos), {"d": 128, "N": 50, "trials": 100}
-    ),
-    "chirp_alc": (partial(_run_alc_family, gen_chirps), {"d": 280, "N": 50, "trials": 100}),
-    "alc_vs_ed": (run_alc_vs_ed, {"d": 280, "N": 150}),
-    "local_components": (run_local_components, {"d": 128}),
-    "hermite_mix": (run_hermite_mix, {"d": 128}),
-    "tf_weighted": (partial(_run_totalcorr, gen_random_tf_weighted), {"d": 128, "N": 500}),
-    "cohen_demo": (run_cohen_demo, {"d": 280, "N": 150}),
-    "bounds_suite": (run_bounds_suite, {"d": 32, "trials": 50}),
+    "hermite_interp": (run_hermite_interp, {"d": 128}, 10),
+    "chirp_ed": (run_chirp_ed, {"d": 280}, 80),
+    "chirp_totalcorr": (partial(_run_totalcorr, gen_chirps), {"d": 280, "N": 150}, 1),
+    "gauss_alc": (partial(_run_alc_family, gen_gaussian_combos),
+                  {"d": 128, "N": 50, "trials": 100}, 41),
+    "chirp_alc": (partial(_run_alc_family, gen_chirps), {"d": 280, "N": 50, "trials": 100}, 41),
+    "alc_vs_ed": (run_alc_vs_ed, {"d": 280, "N": 150}, 41),
+    "local_components": (run_local_components, {"d": 128}, 40),
+    "hermite_mix": (run_hermite_mix, {"d": 128}, 16),
+    "tf_weighted": (partial(_run_totalcorr, gen_random_tf_weighted), {"d": 128, "N": 500}, 4),
+    "cohen_demo": (run_cohen_demo, {"d": 280, "N": 150}, 4),
+    "bounds_suite": (run_bounds_suite, {"d": 32, "trials": 50}, 3),
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 import tfaug as T
 import tfaug.cli
 from tfaug.cli import main
-from tfaug.experiments import CATALOG, LEAST_D
+from tfaug.experiments import CATALOG
 from tfaug.floattext import _CHUNK
 from tfaug.io import (
     read_signals_binary,
@@ -594,7 +594,7 @@ class TestExperimentConfig:
         # a config that passes every declared check but fails inside the runner
         def refuse(config):
             raise ValueError(f"no result at d={config.d}")
-        monkeypatch.setitem(CATALOG, "hermite_mix", (refuse, CATALOG["hermite_mix"][1]))
+        monkeypatch.setitem(CATALOG, "hermite_mix", (refuse, *CATALOG["hermite_mix"][1:]))
 
     def test_runner_error_exit_2(self, tmp_path, capsys, failing_runner):
         assert main(["experiment", "--experiment", "hermite_mix", "--d", "16",
@@ -608,6 +608,48 @@ class TestExperimentConfig:
         assert main(["experiment", "--experiment", "hermite_mix", "--d", "16",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("claims, code", [
+        ({"a": True, "b": np.bool_(True)}, 0),
+        ({"a": True, "b": False}, 1),
+        ({"a": True, "b": np.bool_(False)}, 1),
+        ({"a": True, "zero": 0, "none": None}, 0),
+    ])
+    def test_experiment_exit_rule(self, tmp_path, monkeypatch, claims, code):
+        # exit 1 exactly when a bool or numpy bool claim of the report is
+        # false; a falsy value of another type (0, None) is no claim
+        def runner(config):
+            return T.ResultTable(["x"]), claims, {}
+        monkeypatch.setitem(CATALOG, "hermite_mix", (runner, *CATALOG["hermite_mix"][1:]))
+        assert main(["experiment", "--experiment", "hermite_mix", "--d", "16",
+                     "--out", str(tmp_path), "--no-svg"]) == code
+
+    @pytest.mark.parametrize("field, value", [
+        ("svg", "no"), ("svg", 1), ("out", 5), ("out", None),
+    ])
+    def test_out_and_svg_types_exit_2(self, tmp_path, capsys, monkeypatch, field, value):
+        # out is a str path and svg a JSON bool; no flag overrides them here
+        monkeypatch.chdir(tmp_path)
+        conf = {"experiment": "hermite_mix", "d": 16, "out": "res", field: value}
+        Path("conf.json").write_text(json.dumps(conf))
+        assert main(["experiment", "--config", "conf.json"]) == 2
+        assert f"bad config: {field} must be a " in capsys.readouterr().err
+        assert not Path("res").exists()
+
+    def test_path_out_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="out must be a str"):
+            T.run_experiment(T.ExperimentConfig("hermite_mix", d=16, out=tmp_path / "res"))
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("conf, message", [
+        ({"experiment": "nope", "x": 1}, "unknown experiment 'nope'"),
+        ({"experiment": ["a"]}, "unknown experiment ['a']"),
+    ])
+    def test_experiment_name_checked_first_exit_2(self, tmp_path, capsys, conf, message):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "res")]) == 2
+        assert f"bad config: {message}" in capsys.readouterr().err
 
     def test_hermite_order_at_d_exit_2(self, tmp_path, capsys):
         # hermite_interp needs h_9, so d = 8 has too few orders
@@ -667,7 +709,7 @@ class TestExperimentConfig:
 
     def test_every_parameter_has_a_range(self):
         # seed and these three sizes are the only values a config sets
-        read = set().union(*(defaults for _, defaults in CATALOG.values()))
+        read = set().union(*(defaults for _, defaults, _ in CATALOG.values()))
         assert read == {"d", "N", "trials"}
 
     @pytest.mark.parametrize("conf, name", [
@@ -710,7 +752,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_least_d_is_tight(self, tmp_path, capsys, name):
-        least = LEAST_D.get(name, 1)
+        least = CATALOG[name][2]
         path = tmp_path / "conf.json"
         for d, codes in ((least, (0, 1)), (least - 1, (2,))):
             path.write_text(json.dumps({"experiment": name, "d": d, **self.SMALL[name]}))
@@ -729,7 +771,7 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_defaults_written_out_hash_equal(self, name):
-        _, defaults = CATALOG[name]
+        _, defaults, _ = CATALOG[name]
         explicit = T.ExperimentConfig.from_dict({"experiment": name, **defaults})
         assert T.ExperimentConfig(name).config_hash() == explicit.config_hash()
 
