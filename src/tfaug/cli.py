@@ -145,7 +145,7 @@ def cmd_experiment(args) -> int:
     except ValueError as e:
         raise ValueError(f"bad config: {e}")
     table, report = run_experiment(config)
-    print(f"wrote {len(table)} rows to {config.out}/{config.experiment}.csv")
+    print(f"wrote {len(table)} rows to {config.csv_path}")
     checks = [bool(v) for v in report.values() if isinstance(v, (bool, np.bool_))]
     return 0 if all(checks) else 1
 

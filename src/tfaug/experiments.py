@@ -98,6 +98,11 @@ class ExperimentConfig:
             if not isinstance(value := getattr(self, key), kind):
                 raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
 
+    @property
+    def csv_path(self) -> Path:
+        """The file `run_experiment` writes the table to."""
+        return Path(self.out) / f"{self.experiment}.csv"
+
     def config_hash(self) -> str:
         """Hash of the result-determining fields (output/plumbing excluded)."""
         data = asdict(self)
@@ -495,7 +500,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultTable, dict]:
     table, report, figures = CATALOG[config.experiment][0](config)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table.write(out_dir / f"{config.experiment}.csv")
+    table.write(config.csv_path)
     full_report = {"config": asdict(config), "config_hash": config.config_hash(), **report}
     (out_dir / f"{config.experiment}.report.json").write_text(
         json.dumps(full_report, indent=2, sort_keys=True, default=float) + "\n"

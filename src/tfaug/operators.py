@@ -23,6 +23,11 @@ their conjugates, which makes the result exactly Hermitian.
 convolution uses it.  A boolean grid is a domain indicator; for a
 product set (every rectangle, wrapped ones included) its symplectic DFT is
 the outer product of two 1-d DFTs, O(d log d).
+
+An FFT of an array the library has just made runs in that array's memory,
+a block of about 1 MiB of lines at a time (`_fft_in_place`), so a d x d
+transform needs no second d x d array.  `_inverse_symplectic_fft`
+therefore consumes its argument; `_symplectic_fft` transforms a copy.
 """
 
 from dataclasses import dataclass, field
@@ -159,7 +164,7 @@ def spreading(S) -> np.ndarray:
     if isinstance(S, HermitianOperator):
         return S._spreading
     M = np.asarray(S, dtype=complex)
-    return np.fft.fft(M[_diagonal_index(M.shape[0])], axis=1)
+    return _fft_in_place(np.fft.fft, M[_diagonal_index(M.shape[0])], axis=1)
 
 
 def from_spreading(eta: np.ndarray) -> np.ndarray:
@@ -225,14 +230,44 @@ def _indicator_fft(mask: np.ndarray, n_rows: int | None = None) -> np.ndarray:
     return _symplectic_fft(mask)[:n_rows]
 
 
+def _fft_in_place(transform, G: np.ndarray, axis: int) -> np.ndarray:
+    """G, a complex 2-d array, transformed by np.fft.fft or np.fft.ifft along
+    axis in its own memory and returned.
+
+    The lines along axis (columns for axis 0, rows for axis 1) go through
+    the transform in blocks of about 1 MiB, each line by the same pocketfft
+    call that a whole-array call makes, so the result equals
+    `transform(G, axis=axis)` bit for bit.
+    """
+    if not G.size:  # numpy's own error for a zero-length transform
+        return transform(G, axis=axis)
+    step = max(1, (1 << 20) // (G.shape[axis] * G.itemsize))
+    for start in range(0, G.shape[1 - axis], step):
+        lines = slice(start, start + step)
+        block = (slice(None), lines) if axis == 0 else lines
+        G[block] = transform(G[block], axis=axis)
+    return G
+
+
 def _symplectic_fft(F: np.ndarray) -> np.ndarray:
-    """F-hat[u, k] = sum_{m,n} F[m, n] exp(2 pi i (n u - k m) / d)."""
-    return np.fft.fft(np.fft.ifft(F, axis=1) * F.shape[0], axis=0).T
+    """F-hat[u, k] = sum_{m,n} F[m, n] exp(2 pi i (n u - k m) / d).
+
+    F is never written: one complex copy of it is transformed in place."""
+    G = np.array(F, dtype=complex)
+    _fft_in_place(np.fft.ifft, G, axis=1)
+    G *= G.shape[0]
+    return _fft_in_place(np.fft.fft, G, axis=0).T
 
 
 def _inverse_symplectic_fft(H: np.ndarray) -> np.ndarray:
-    """G[m, n] = (1/d) sum_{u,k} H[u, k] exp(2 pi i (u n - k m) / d)."""
-    return np.fft.fft(np.fft.ifft(H, axis=0), axis=1).T
+    """G[m, n] = (1/d) sum_{u,k} H[u, k] exp(2 pi i (u n - k m) / d).
+
+    H is consumed: a complex H is transformed in place and its transpose
+    returned, so callers pass an array they hold nowhere else.  A real H is
+    cast to complex once, first."""
+    G = np.asarray(H, dtype=complex)
+    _fft_in_place(np.fft.ifft, G, axis=0)
+    return _fft_in_place(np.fft.fft, G, axis=1).T
 
 
 def fn_op_convolve(F: np.ndarray, S) -> HermitianOperator:
@@ -367,7 +402,9 @@ def total_correlation(S) -> np.ndarray:
     A = S if isinstance(S, HermitianOperator) else HermitianOperator(S)
     if A._factor is None:
         _check_positive(A.matrix)
-    return _clamped(_inverse_symplectic_fft(np.abs(spreading(A)) ** 2).real, "S-tilde", 1e-12)
+    # cast here, so the real |eta_S|^2 is freed before the transform
+    ambiguity = (np.abs(spreading(A)) ** 2).astype(complex)
+    return _clamped(_inverse_symplectic_fft(ambiguity).real, "S-tilde", 1e-12)
 
 
 def cohen_class(S, f: np.ndarray) -> np.ndarray:
@@ -380,9 +417,10 @@ def cohen_class(S, f: np.ndarray) -> np.ndarray:
     clamped, bit for bit, but without its d x d copies.  The spreading
     function of the adjoint of S-check is taken from one gather of S's
     entries, with that adjoint folded into the index, and the spreading
-    function of f (x) f from a gather of the 1-d f; conjugates and products
-    are formed in place.  Besides its input and result it holds at most
-    three d x d complex arrays at a time.
+    function of f (x) f from a gather of the 1-d f; conjugates, products
+    and transforms are formed in place.  Besides its input and result it
+    holds at most two d x d complex arrays at a time, and a block of about
+    1 MiB.
     """
     M = _as_matrix(S)
     f = np.asarray(f, dtype=complex)
@@ -395,14 +433,15 @@ def cohen_class(S, f: np.ndarray) -> np.ndarray:
     # (S-check)^*[x, x - u] = conj(S-check[x - u, x]) = conj(S[u - x, -x])
     eta = M[minus[lag], minus]
     np.conj(eta, out=eta)
-    eta = np.fft.fft(eta, axis=1)
+    _fft_in_place(np.fft.fft, eta, axis=1)
     np.conj(eta, out=eta)
     # (f (x) f)[x, x - u] = f[x] conj(f[x - u])
     diagonals = np.conj(f)[lag]
     np.multiply(f, diagonals, out=diagonals)
-    diagonals = np.fft.fft(diagonals, axis=1)
-    eta *= grid_reflect(diagonals)
-    del diagonals  # the inverse transform then holds eta and its two outputs
+    _fft_in_place(np.fft.fft, diagonals, axis=1)
+    for u, row in zip(minus, eta):  # times grid_reflect(diagonals), a row at a time
+        row *= diagonals[u].take(minus)
+    del diagonals  # the inverse transform then holds eta alone
     return _clamped(_inverse_symplectic_fft(eta).real, "Cohen's class", 1e-12)
 
 

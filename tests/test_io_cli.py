@@ -354,6 +354,16 @@ class TestCli:
         assert "wrote 18 rows" in capsys.readouterr().out
         assert len((out_dir / "cohen_demo.csv").read_text().splitlines()) == 18 + 8
 
+    def test_experiment_prints_the_path_written(self, tmp_path, monkeypatch, capsys):
+        # an empty --out writes into the current directory, and the path
+        # printed is the file written, not one at the file-system root
+        monkeypatch.chdir(tmp_path)
+        assert main(["experiment", "--experiment", "hermite_mix", "--d", "16",
+                     "--no-svg", "--out", ""]) == 0
+        printed = capsys.readouterr().out.strip().rsplit(" to ", 1)[1]
+        assert printed == "hermite_mix.csv"
+        assert Path(printed).is_file()
+
     def test_experiment_svg_emitted(self, tmp_path):
         out_dir = tmp_path / "res"
         main(["experiment", "--experiment", "hermite_mix", "--d", "64",

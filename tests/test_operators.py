@@ -11,6 +11,7 @@ import tfaug.operators
 from tfaug.operators import (
     _clamped,
     _indicator_fft,
+    _inverse_symplectic_fft,
     _symplectic_fft,
     from_spreading,
     parity,
@@ -312,6 +313,61 @@ class TestIndicatorTransform:
             assert np.max(np.abs(L - fn_op_direct(mask.astype(float), S.matrix))) < 1e-10
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceTransforms:
+    # d = 300: each pass over a complex grid takes two blocks of about 1 MiB
+    d = 300
+
+    def test_symplectic_fft_bit_for_bit(self, rng):
+        d = self.d
+        F = rng.standard_normal((d, d))
+        grids = {"float": F, "bool": F > 1.0, "complex": F + 1j * rng.standard_normal((d, d))}
+        for name, G in grids.items():
+            before = G.copy()
+            want = np.fft.fft(np.fft.ifft(G, axis=1) * d, axis=0).T
+            assert same_bits(_symplectic_fft(G), want), name
+            assert same_bits(G, before), name  # the input is never written
+
+    def test_inverse_symplectic_fft_bit_for_bit(self, rng):
+        d = self.d
+        H = rng.standard_normal((d, d))
+        for name, G in {"float": H, "complex": H + 1j * rng.standard_normal((d, d))}.items():
+            want = np.fft.fft(np.fft.ifft(G, axis=0), axis=1).T
+            assert same_bits(_inverse_symplectic_fft(G.copy()), want), name
+
+    def test_inverse_symplectic_fft_consumes_a_complex_array(self, rng):
+        H = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        assert np.shares_memory(_inverse_symplectic_fft(H), H)
+
+    def test_spreading_bit_for_bit(self, rng):
+        d = self.d
+        M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = np.arange(d)
+        diagonals = M[x[None, :], (x[None, :] - x[:, None]) % d]  # [u, x] = M[x, x - u]
+        assert same_bits(spreading(M), np.fft.fft(diagonals, axis=1))
+
+    def test_empty_operator_rejected(self):
+        # a zero-length transform is numpy's ValueError, as it was whole-array
+        empty = np.zeros((0, 0), complex)
+        for compute in (lambda: spreading(empty), lambda: T.total_correlation(empty),
+                        lambda: T.cohen_class(empty, np.zeros(0)),
+                        lambda: _symplectic_fft(empty.real)):
+            with pytest.raises(ValueError, match="FFT data points"):
+                compute()
+
+    def test_cohen_class_bit_for_bit(self, rng):
+        # its reflected product, taken a row at a time, is grid_reflect's
+        d = self.d
+        S = T.data_operator(rand_dataset(rng, 3, d)).matrix
+        f = rand_signal(rng, d)
+        want = _clamped(T.op_op_convolve(grid_reflect(S), T.tensor_product(f, f)).real,
+                        "Cohen's class", 1e-12)
+        assert same_bits(T.cohen_class(S, f), want)
+
+
 class TestHermitianBuild:
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 16])
     def test_exactly_hermitian_and_matches_direct(self, rng, d):
@@ -462,6 +518,21 @@ class TestTotalCorrelation:
         M = np.diag([1.5, -0.5] + [0.0] * 6)
         with pytest.raises(ValueError):
             T.total_correlation(M)
+
+    def test_holds_one_and_a_half_d_by_d_arrays(self, rng):
+        # |eta_S|^2 as complex while its real copy is freed, then the
+        # transform in place a block at a time: 1.5 d x d complex arrays at
+        # most (2.5 when each pass made a new array)
+        d = 384
+        S = T.data_operator(rand_dataset(rng, 10, d))
+        T.total_correlation(S)  # eta_S and the diagonal index are cached
+        tracemalloc.start()
+        try:
+            T.total_correlation(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * d * d * 16
 
     def test_data_operator_is_not_factorized(self, rng, monkeypatch):
         # positive by construction: no Cholesky factorization
@@ -629,10 +700,11 @@ class TestCohenClass:
             assert isinstance(got, str) == name.endswith("negative"), name
 
     def test_holds_few_d_by_d_arrays(self, rng):
-        # the result (d x d real) and at most three d x d complex arrays at a
-        # time; with the dense f (x) f, the reflected and adjoint copies and
-        # out-of-place products it held seven
-        d = 256
+        # two d x d complex arrays and a block of about 1 MiB (2.44 arrays at
+        # d = 384); with out-of-place transforms it held three, and with the
+        # dense f (x) f, the reflected and adjoint copies and out-of-place
+        # products seven
+        d = 384
         S = T.data_operator(rand_dataset(rng, 10, d)).matrix
         f = rand_unit(rng, d)
         T.cohen_class(S, f)  # the diagonal index is cached per d
@@ -642,7 +714,7 @@ class TestCohenClass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * d * d * 16
+        assert peak < 2.75 * d * d * 16
 
 
 class TestConvLayerIdentity:
